@@ -25,6 +25,7 @@ from .discriminators import (
 )
 from .envs import ENV_NAMES, SineWorldSpec, dataset_save, gen_expert_dataset, sine_expert_sample, sine_grid
 from .errors import NumericalAbort
+from .fileio import atomic_write
 from .policy_opt import load_policy, save_policy
 from .trainer import config_from_dict, config_to_dict, evaluate, grid_to_csv, reward_map, train
 
@@ -35,9 +36,7 @@ EXIT_NUMERIC = 3
 
 
 def _write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(kind: str, seed: int, config: dict, artifacts: dict) -> dict:
@@ -130,8 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train(cfg)
 
     metrics_path = os.path.join(args.out, "metrics.csv")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(result.csv_text)
+    atomic_write(metrics_path, result.csv_text)
     policy_path = os.path.join(args.out, "policy.drlp")
     save_policy(policy_path, result.policy)
     artifacts = {"metrics": metrics_path, "policy": policy_path}
@@ -192,8 +190,7 @@ def cmd_reward_map(args: argparse.Namespace) -> int:
     grid = sine_grid(s_res, a_res)
     rng = np.random.default_rng(args.seed)
     result = reward_map(disc, grid, rng, samples_per_cell=args.samples)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(grid_to_csv(result))
+    atomic_write(args.out, grid_to_csv(result))
     print(f"wrote {s_res}x{a_res} {result.method} reward grid to {args.out}")
     return 0
 

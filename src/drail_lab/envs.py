@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
+
 DATASET_MAGIC = b"DRLD"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sIIIQ")
@@ -138,9 +140,7 @@ def dataset_save(dataset: ExpertDataset, path: str) -> None:
     rec["state"] = dataset.states
     rec["action"] = dataset.actions
     rec["done"] = dataset.dones
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rec.tobytes())
+    atomic_write(path, header + rec.tobytes())
 
 
 def dataset_load(path: str) -> ExpertDataset:
@@ -286,6 +286,47 @@ def point_reset(noise_scale: float, rng: np.random.Generator) -> PointReachState
     return PointReachState(start, np.zeros(2), goal, 0)
 
 
+def _checked_action(action) -> tuple[float, float]:
+    a = np.asarray(action, dtype=np.float64)
+    if a.shape != (2,):
+        raise ValueError("action must be a 2-vector")
+    ax, ay = a.tolist()
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise ValueError("action must be finite")
+    return ax, ay
+
+
+def _point_dynamics(
+    obs: tuple[float, ...], steps: int, ax: float, ay: float, horizon: int, wall: bool
+) -> tuple[tuple[float, ...], int, bool, bool]:
+    """One step of the dynamics on the flat observation (px, py, vx, vy, gx, gy)
+    as Python floats: clamped double integrator, wall slab, success radius.
+    Returns (obs', steps', done, success)."""
+    px, py, vx, vy, gx, gy = obs
+    ax = min(max(ax, -1.0), 1.0)
+    ay = min(max(ay, -1.0), 1.0)
+    nvx = min(max(vx + ACCEL_GAIN * ax, -MAX_SPEED), MAX_SPEED)
+    nvy = min(max(vy + ACCEL_GAIN * ay, -MAX_SPEED), MAX_SPEED)
+    npx = min(max(px + nvx, -ARENA_LIMIT), ARENA_LIMIT)
+    npy = min(max(py + nvy, -ARENA_LIMIT), ARENA_LIMIT)
+    if wall and npy < _WALL_TOP:
+        lo, hi = sorted((px, npx))
+        if lo < _WALL_HALF_WIDTH and hi > -_WALL_HALF_WIDTH:
+            # the step enters or crosses the slab: stop at the near face
+            # (segment test, not endpoint test, so fast steps cannot tunnel)
+            npx = px
+            if abs(npx) >= _WALL_HALF_WIDTH:
+                npx = math.copysign(_WALL_HALF_WIDTH, npx)
+            nvx = 0.0
+    steps += 1
+    # np.linalg.norm's own sum: a dot product, which may fuse the multiply-add
+    # and so differs from sqrt(dx*dx + dy*dy) in the last bit
+    d = np.array((npx - gx, npy - gy))
+    success = math.sqrt(d.dot(d)) < SUCCESS_RADIUS
+    done = success or steps >= horizon
+    return (npx, npy, nvx, nvy, gx, gy), steps, done, success
+
+
 def point_step(
     state: PointReachState,
     action: np.ndarray,
@@ -294,28 +335,10 @@ def point_step(
 ) -> tuple[PointReachState, float, bool, bool]:
     """Clamped double-integrator step; the env reward is a placeholder 0
     (learned rewards are filled in later). Returns (state', 0.0, done, success)."""
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != (2,):
-        raise ValueError("action must be a 2-vector")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("action must be finite")
-    a = np.clip(a, -1.0, 1.0)
-    velocity = np.clip(state.velocity + ACCEL_GAIN * a, -MAX_SPEED, MAX_SPEED)
-    position = np.clip(state.position + velocity, -ARENA_LIMIT, ARENA_LIMIT)
-    if wall and position[1] < _WALL_TOP:
-        lo, hi = sorted((float(state.position[0]), float(position[0])))
-        if lo < _WALL_HALF_WIDTH and hi > -_WALL_HALF_WIDTH:
-            # the step enters or crosses the slab: stop at the near face
-            # (segment test, not endpoint test, so fast steps cannot tunnel)
-            old_x = float(state.position[0])
-            if abs(old_x) >= _WALL_HALF_WIDTH:
-                old_x = math.copysign(_WALL_HALF_WIDTH, old_x)
-            position = np.array([old_x, position[1]])
-            velocity = np.array([0.0, velocity[1]])
-    steps = state.steps + 1
-    success = bool(np.linalg.norm(position - state.goal) < SUCCESS_RADIUS)
-    done = success or steps >= horizon
-    return PointReachState(position, velocity, state.goal, steps), 0.0, done, success
+    ax, ay = _checked_action(action)
+    obs, steps, done, success = _point_dynamics(tuple(observe(state).tolist()), state.steps, ax, ay, horizon, wall)
+    next_state = PointReachState(np.array(obs[0:2]), np.array(obs[2:4]), state.goal, steps)
+    return next_state, 0.0, done, success
 
 
 def scripted_expert(state: PointReachState) -> np.ndarray:
@@ -437,17 +460,35 @@ class PointReach:
         self.horizon = int(horizon)
         self.wall = bool(wall)
         self._rng = np.random.default_rng(seed)
-        self.state: PointReachState | None = None
+        # the current observation as floats, and the episode's step count
+        self._obs: tuple[float, ...] | None = None
+        self._steps = 0
+
+    @property
+    def state(self) -> PointReachState | None:
+        if self._obs is None:
+            return None
+        obs = self._obs
+        return PointReachState(np.array(obs[0:2]), np.array(obs[2:4]), np.array(obs[4:6]), self._steps)
+
+    @state.setter
+    def state(self, state: PointReachState | None) -> None:
+        self._obs = None if state is None else tuple(observe(state).tolist())
+        self._steps = 0 if state is None else state.steps
 
     def reset(self) -> np.ndarray:
-        self.state = point_reset(self.noise_scale, self._rng)
-        return observe(self.state)
+        obs = observe(point_reset(self.noise_scale, self._rng))
+        self._obs = tuple(obs.tolist())
+        self._steps = 0
+        return obs
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
-        if self.state is None:
+        if self._obs is None:
             raise RuntimeError("reset the env before stepping")
-        self.state, reward, done, success = point_step(self.state, action, self.horizon, self.wall)
-        return observe(self.state), reward, done, success
+        ax, ay = _checked_action(action)
+        self._obs, self._steps, done, success = _point_dynamics(
+            self._obs, self._steps, ax, ay, self.horizon, self.wall)
+        return np.array(self._obs), 0.0, done, success
 
 
 def make_env(

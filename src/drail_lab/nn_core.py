@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fileio import atomic_write
+
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 _ACT_CODE = {name: code for code, name in enumerate(ACTIVATIONS)}
@@ -136,32 +138,70 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_grad_from_output(name: str, h: np.ndarray) -> np.ndarray:
-    # all three derivatives are expressible from the activation output
-    if name == "tanh":
-        return 1.0 - h * h
-    if name == "relu":
-        return (h > 0.0).astype(np.float64)
-    return np.ones_like(h)
-
-
 def _as_batch(x: np.ndarray, width: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"{what} must have width {width}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} contains non-finite entries")
     return x
 
 
+# The unchecked core below is shared by the checked public functions and
+# by the package's hot loops (rollout, evaluation, PPO), which validate
+# their inputs once per call instead of once per row or minibatch.
+
+
+def _layers(values: np.ndarray, layout: tuple[LayerView, ...], specs: tuple[LayerSpec, ...]) -> tuple:
+    """Per layer (weights, bias, activation, offset), the arrays being
+    views into the flat vector ``values`` laid out as ``layout``."""
+    out = []
+    for view, spec in zip(layout, specs):
+        n_w = view.out_dim * view.in_dim
+        weights = values[view.offset : view.offset + n_w].reshape(view.out_dim, view.in_dim)
+        bias = values[view.offset + n_w : view.offset + view.size]
+        out.append((weights, bias, spec.activation, view.offset))
+    return tuple(out)
+
+
+def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray:
+    """Unchecked layer walk over a (n, in_dim) batch; returns the output.
+    Given a list ``hs``, it also collects [x, h_1, ..., h_out] there, the
+    activations _backward takes; otherwise no intermediate outlives its layer."""
+    if hs is not None:
+        hs.append(x)
+    for weights, bias, activation, _ in layers:
+        x = _activate(activation, x @ weights.T + bias)
+        if hs is not None:
+            hs.append(x)
+    return x
+
+
+def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, size: int) -> np.ndarray:
+    """Reverse pass over the activations ``hs`` of a forward walk; ``g`` is
+    the (n, out_dim) upstream gradient, ``size`` the flat vector length."""
+    grad = np.zeros(size)
+    for k in range(len(layers) - 1, -1, -1):
+        weights, _, activation, offset = layers[k]
+        # derivatives from the activation output; identity's is 1
+        if activation == "tanh":
+            g = g * (1.0 - hs[k + 1] * hs[k + 1])
+        elif activation == "relu":
+            g = g * (hs[k + 1] > 0.0).astype(np.float64)
+        n_w = weights.size
+        grad[offset : offset + n_w] = (g.T @ hs[k]).ravel()
+        grad[offset + n_w : offset + n_w + weights.shape[0]] = g.sum(axis=0)
+        if k > 0:
+            g = g @ weights
+    return grad
+
+
 def forward_batch(params: ParamStore, specs: tuple[LayerSpec, ...], inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a (n, in_dim) batch; returns (n, out_dim)."""
-    h = _as_batch(inputs, specs[0].in_dim, "input")
-    for k, spec in enumerate(specs):
-        h = _activate(spec.activation, h @ params.weights(k).T + params.bias(k))
-    return h
+    x = _as_batch(inputs, specs[0].in_dim, "input")
+    return _forward(_layers(params.values, params.layout, specs), x)
 
 
 def forward(params: ParamStore, specs: tuple[LayerSpec, ...], x: np.ndarray) -> np.ndarray:
@@ -181,22 +221,13 @@ def backward_batch(
     finite differences to f64 roundoff on these layer types.
     """
     X = _as_batch(inputs, specs[0].in_dim, "input")
-    hs = [X]
-    for k, spec in enumerate(specs):
-        hs.append(_activate(spec.activation, hs[-1] @ params.weights(k).T + params.bias(k)))
     g = _as_batch(upstream, specs[-1].out_dim, "upstream")
     if g.shape[0] != X.shape[0]:
         raise ValueError(f"upstream rows {g.shape[0]} != input rows {X.shape[0]}")
-    grad = np.zeros(len(params))
-    for k in range(len(specs) - 1, -1, -1):
-        view = params.layout[k]
-        g = g * _activation_grad_from_output(specs[k].activation, hs[k + 1])
-        n_w = view.out_dim * view.in_dim
-        grad[view.offset : view.offset + n_w] = (g.T @ hs[k]).ravel()
-        grad[view.offset + n_w : view.offset + view.size] = g.sum(axis=0)
-        if k > 0:
-            g = g @ params.weights(k)
-    return grad
+    layers = _layers(params.values, params.layout, specs)
+    hs: list[np.ndarray] = []
+    _forward(layers, X, hs)
+    return _backward(layers, hs, g, len(params))
 
 
 def backward(
@@ -228,6 +259,20 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
 
 
+def _adam_update(
+    state: AdamState, values: np.ndarray, g: np.ndarray, lr_scale: float
+) -> tuple[np.ndarray, AdamState]:
+    """Unchecked bias-corrected Adam step on a flat vector; returns the
+    new vector (a fresh array) and the advanced state."""
+    step = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = m / (1.0 - state.beta1**step)
+    v_hat = v / (1.0 - state.beta2**step)
+    new_values = values - state.lr * lr_scale * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return new_values, AdamState(m, v, step, state.lr, state.beta1, state.beta2, state.epsilon)
+
+
 def adam_step(
     state: AdamState,
     params: ParamStore,
@@ -245,13 +290,9 @@ def adam_step(
     bad = np.flatnonzero(~np.isfinite(g))
     if bad.size:
         raise ValueError(f"non-finite gradient at index {bad[0]}")
-    step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    new_values = params.values - state.lr * lr_scale * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params.with_values(new_values), replace(state, m=m, v=v, step=step)
+    new_values, state = _adam_update(state, params.values, g, lr_scale)
+    # the update's result is a fresh array: the store takes it without a copy
+    return replace(params, values=new_values), state
 
 
 # --- checkpoint format -------------------------------------------------
@@ -312,8 +353,7 @@ def params_from_bytes(buf: bytes) -> tuple[ParamStore, tuple[LayerSpec, ...], by
 
 
 def save_params(path: str, params: ParamStore, specs: tuple[LayerSpec, ...], trailer: bytes = b"") -> None:
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params, specs) + trailer)
+    atomic_write(path, params_to_bytes(params, specs) + trailer)
 
 
 def load_params(path: str) -> tuple[ParamStore, tuple[LayerSpec, ...], bytes]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn_core
 from .errors import NumericalAbort
-from .nn_core import AdamState, LayerSpec, ParamStore, adam_step
+from .nn_core import AdamState, LayerSpec, ParamStore
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -69,10 +69,15 @@ def policy_mean_batch(policy: GaussianPolicy, states: np.ndarray) -> np.ndarray:
     return nn_core.forward_batch(policy.mean_params, policy.specs, states)
 
 
-def _logp_rows(policy: GaussianPolicy, means: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    inv_var = np.exp(-2.0 * policy.log_std)
+def _logp_rows(means: np.ndarray, actions: np.ndarray, inv_var: np.ndarray, log_std_sum) -> np.ndarray:
+    """Row log-densities, given exp(-2 log_std) and sum(log_std); callers in
+    hot loops compute those two once per call."""
     sq = (actions - means) ** 2 * inv_var
-    return -0.5 * np.sum(sq, axis=1) - np.sum(policy.log_std) - 0.5 * policy.action_dim * _LOG_2PI
+    return -0.5 * sq.sum(axis=1) - log_std_sum - 0.5 * inv_var.size * _LOG_2PI
+
+
+def _logp_policy_rows(policy: GaussianPolicy, means: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    return _logp_rows(means, actions, np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))
 
 
 def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarray, float]:
@@ -82,13 +87,17 @@ def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarra
         raise NumericalAbort("policy mean is non-finite")
     std = np.exp(policy.log_std)
     action = mean + std * rng.standard_normal(policy.action_dim)
-    logp = float(_logp_rows(policy, mean[None, :], action[None, :])[0])
+    logp = float(_logp_policy_rows(policy, mean[None, :], action[None, :])[0])
     return action, logp
+
+
+def _entropy(log_std: np.ndarray) -> float:
+    return float(0.5 * np.sum(1.0 + _LOG_2PI + 2.0 * log_std))
 
 
 def policy_entropy(policy: GaussianPolicy) -> float:
     """Closed-form entropy: 0.5 * sum(1 + log 2 pi + 2 log_std)."""
-    return float(0.5 * np.sum(1.0 + _LOG_2PI + 2.0 * policy.log_std))
+    return _entropy(policy.log_std)
 
 
 def policy_logp_entropy(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> tuple[float, float]:
@@ -96,11 +105,11 @@ def policy_logp_entropy(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) ->
     if a.shape != (policy.action_dim,):
         raise ValueError(f"action must have length {policy.action_dim}")
     mean = nn_core.forward(policy.mean_params, policy.specs, s)
-    return float(_logp_rows(policy, mean[None, :], a[None, :])[0]), policy_entropy(policy)
+    return float(_logp_policy_rows(policy, mean[None, :], a[None, :])[0]), policy_entropy(policy)
 
 
 def logp_batch(policy: GaussianPolicy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return _logp_rows(policy, policy_mean_batch(policy, states), np.asarray(actions, dtype=np.float64))
+    return _logp_policy_rows(policy, policy_mean_batch(policy, states), np.asarray(actions, dtype=np.float64))
 
 
 def policy_theta(policy: GaussianPolicy) -> np.ndarray:
@@ -239,6 +248,11 @@ class PpoConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must lie in [0, 1]")
+        for name in ("epochs", "minibatch_size", "rollout_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.lr >= 0.0:
+            raise ValueError("lr must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -288,13 +302,25 @@ def ppo_update(
     # normalized advantages have mean ~0 and std ~1 (0 in degenerate buffers)
     if abs(float(adv.mean())) > 1e-6 or float(adv.std()) > 1.5:
         raise ValueError("buffer advantages must be normalized before ppo_update")
+    states, actions = buffer.states, buffer.actions
+    logp_old, returns = buffer.log_probs, buffer.returns
+    if states.shape[1:] != (policy.state_dim,) or actions.shape[1:] != (policy.action_dim,):
+        raise ValueError(f"buffer states/actions of shape {states.shape}/{actions.shape} do not match "
+                         f"the policy dims ({policy.state_dim}, {policy.action_dim})")
+    for name, arr in (("states", states), ("actions", actions), ("log_probs", logp_old),
+                      ("advantages", adv), ("returns", returns)):
+        if not np.all(np.isfinite(arr)):
+            raise NumericalAbort(f"buffer {name} is non-finite")
     if opt is None:
         opt = PpoOptimizer.fresh(policy, vf, cfg.lr)
 
     n = len(buffer)
-    states, actions = buffer.states, buffer.actions
-    logp_old, returns = buffer.log_probs, buffer.returns
     n_mean = len(policy.mean_params)
+    # one flat [mean net | log_std] vector for the policy Adam and one for
+    # the critic; snapshots are built once, after the last minibatch
+    theta = policy_theta(policy)
+    v_values = vf.params.values
+    policy_adam, value_adam = opt.policy_opt, opt.value_opt
 
     ratio_sum = 0.0
     clip_count = 0
@@ -311,15 +337,21 @@ def ppo_update(
             adv_mb, ret_mb, old_mb = adv[idx], returns[idx], logp_old[idx]
             nb = idx.size
 
-            means = policy_mean_batch(policy, S)
-            logp_new = _logp_rows(policy, means, A)
+            log_std = theta[n_mean:]
+            p_layers = nn_core._layers(theta, policy.mean_params.layout, policy.specs)
+            p_hs: list[np.ndarray] = []
+            means = nn_core._forward(p_layers, S, p_hs)
+            inv_var = np.exp(-2.0 * log_std)
+            logp_new = _logp_rows(means, A, inv_var, np.sum(log_std))
             ratio = np.exp(logp_new - old_mb)
             if initial_ratio_err is None:
                 initial_ratio_err = float(np.max(np.abs(ratio - 1.0)))
             surr = clipped_surrogate(ratio, adv_mb, cfg.clip)
-            entropy = policy_entropy(policy)
+            entropy = _entropy(log_std)
 
-            values = value_batch(vf, S)
+            v_layers = nn_core._layers(v_values, vf.params.layout, vf.specs)
+            v_hs: list[np.ndarray] = []
+            values = nn_core._forward(v_layers, S, v_hs)[:, 0]
             value_loss = cfg.value_coef * float(np.mean((values - ret_mb) ** 2))
             total_loss = -float(np.mean(surr)) + value_loss - cfg.entropy_coef * entropy
             if not math.isfinite(total_loss):
@@ -331,24 +363,23 @@ def ppo_update(
             active = unclipped <= clipped
             dsurr_dlogp = np.where(active, ratio * adv_mb, 0.0) / nb
 
-            inv_var = np.exp(-2.0 * policy.log_std)
             dlogp_dmean = (A - means) * inv_var
             upstream = -dsurr_dlogp[:, None] * dlogp_dmean
-            g_net = nn_core.backward_batch(policy.mean_params, policy.specs, S, upstream)
+            g_net = nn_core._backward(p_layers, p_hs, upstream, n_mean)
             dlogp_dls = (A - means) ** 2 * inv_var - 1.0
             g_ls = -dsurr_dlogp @ dlogp_dls - cfg.entropy_coef * np.ones(policy.action_dim)
             g_policy = _clip_global_norm(np.concatenate([g_net, g_ls]), MAX_GRAD_NORM)
 
             dv = (2.0 * cfg.value_coef / nb) * (values - ret_mb)
-            g_value = _clip_global_norm(
-                nn_core.backward_batch(vf.params, vf.specs, S, dv[:, None]), MAX_GRAD_NORM
-            )
+            g_value = _clip_global_norm(nn_core._backward(v_layers, v_hs, dv[:, None], v_values.size),
+                                        MAX_GRAD_NORM)
 
-            theta, policy_adam = adam_step(opt.policy_opt, _theta_store(policy), g_policy, lr_scale)
-            policy = policy_with_theta(policy, theta.values)
-            v_params, value_adam = adam_step(opt.value_opt, vf.params, g_value, lr_scale)
-            vf = replace(vf, params=v_params)
-            opt = PpoOptimizer(policy_adam, value_adam)
+            theta, policy_adam = nn_core._adam_update(policy_adam, theta, g_policy, lr_scale)
+            # the bounds GaussianPolicy puts on log_std, kept on the flat vector
+            np.clip(theta[n_mean:], LOG_STD_MIN, LOG_STD_MAX, out=theta[n_mean:])
+            v_values, value_adam = nn_core._adam_update(value_adam, v_values, g_value, lr_scale)
+            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(v_values))):
+                raise NumericalAbort("ppo parameters are non-finite after the Adam step")
 
             ratio_sum += float(np.sum(ratio))
             clip_count += int(np.sum(np.abs(ratio - 1.0) > cfg.clip))
@@ -356,6 +387,8 @@ def ppo_update(
             loss_sum += total_loss
             batch_count += 1
 
+    policy = policy_with_theta(policy, theta)
+    vf = replace(vf, params=vf.params.with_values(v_values))
     stats = {
         "ppo_loss": loss_sum / batch_count,
         "mean_ratio": ratio_sum / sample_count,
@@ -363,13 +396,7 @@ def ppo_update(
         "entropy": policy_entropy(policy),
         "initial_ratio_err": initial_ratio_err,
     }
-    return policy, vf, opt, stats
-
-
-def _theta_store(policy: GaussianPolicy) -> ParamStore:
-    # one flat store over [mean net | log_std] so a single Adam tracks both
-    theta = policy_theta(policy)
-    return ParamStore(theta, (nn_core.LayerView("theta", 0, theta.size - 1, 1),))
+    return policy, vf, PpoOptimizer(policy_adam, value_adam), stats
 
 
 # --- checkpoints --------------------------------------------------------------

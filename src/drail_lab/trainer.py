@@ -40,6 +40,7 @@ from .policy_opt import (
     PpoOptimizer,
     RolloutBuffer,
     ValueFn,
+    _logp_rows,
     build_policy,
     build_value_fn,
     compute_gae,
@@ -127,7 +128,21 @@ class TrainConfig:
 
 
 _TUPLE_FIELDS = ("disc_hidden", "policy_hidden", "value_hidden")
-_OPTIONAL_INT_FIELDS = ("max_expert_trajectories", "max_expert_transitions")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a JSON config value must be, by the field's annotation
+_JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(_is_int(w) for w in v), "a list of integers"),
+}
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -137,25 +152,34 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return d
 
 
-def config_from_dict(data: dict) -> TrainConfig:
-    known = {f.name: f for f in dataclasses.fields(TrainConfig)}
+def _config_kwargs(cls, data: dict, prefix: str = "") -> dict:
+    """Type-checked constructor arguments for ``cls`` from decoded JSON;
+    errors name the offending key."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        if key == "ppo":
-            ppo_known = {f.name for f in dataclasses.fields(PpoConfig)}
-            for sub in value:
-                if sub not in ppo_known:
-                    raise ValueError(f"unknown config key 'ppo.{sub}'")
-            kwargs["ppo"] = PpoConfig(**value)
-        elif key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(int(w) for w in value)
-        elif key in _OPTIONAL_INT_FIELDS:
-            kwargs[key] = None if value is None else int(value)
-        else:
-            kwargs[key] = value
-    return TrainConfig(**kwargs)
+        name = prefix + key
+        if key not in fields:
+            raise ValueError(f"unknown config key {name!r}")
+        if fields[key] == "PpoConfig":
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {name!r} must be a JSON object, got {value!r}")
+            ppo_kwargs = _config_kwargs(PpoConfig, value, name + ".")
+            try:
+                kwargs[key] = PpoConfig(**ppo_kwargs)
+            except ValueError as e:
+                # PpoConfig's range errors name the field without its block
+                raise ValueError(f"{name}.{e}") from None
+            continue
+        accepts, expected = _JSON_TYPES[fields[key]]
+        if not accepts(value):
+            raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
+        kwargs[key] = value
+    return kwargs
+
+
+def config_from_dict(data: dict) -> TrainConfig:
+    return TrainConfig(**_config_kwargs(TrainConfig, data))
 
 
 # --- evaluation --------------------------------------------------------------
@@ -185,7 +209,9 @@ def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
         if rng is None:
             raise ValueError("stochastic actor needs an rng")
         return lambda obs: policy_sample(policy, obs, rng)[0]
-    return lambda obs: policy_mean_batch(policy, obs[None, :])[0]
+    # policy_mean_batch on one row, with the layer views built once
+    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    return lambda obs: nn_core._forward(layers, nn_core._as_batch(obs, policy.state_dim, "input"))[0]
 
 
 def evaluate(
@@ -244,6 +270,17 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    # value_single and policy_sample per step, with the layer views and the
+    # log-std terms built once and each observation checked once
+    width = env.state_dim
+    for what, in_dim in (("value", vf.specs[0].in_dim), ("policy", policy.state_dim)):
+        if in_dim != width:
+            raise ValueError(f"{what} input width {in_dim} != env state_dim {width}")
+    v_layers = nn_core._layers(vf.params.values, vf.params.layout, vf.specs)
+    p_layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    std = np.exp(policy.log_std)
+    inv_var = np.exp(-2.0 * policy.log_std)
+    log_std_sum = np.sum(policy.log_std)
     states = np.empty((n_steps, env.state_dim))
     actions = np.empty((n_steps, env.action_dim))
     log_probs = np.empty(n_steps)
@@ -255,8 +292,13 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
         if done:
             obs = env.reset()
         states[t] = obs
-        values[t] = value_single(vf, obs)
-        action, log_probs[t] = policy_sample(policy, obs, rng)
+        x = nn_core._as_batch(obs, width, "input")
+        values[t] = nn_core._forward(v_layers, x)[0, 0]
+        mean = nn_core._forward(p_layers, x)[0]
+        if not np.isfinite(mean).all():
+            raise NumericalAbort("policy mean is non-finite")
+        action = mean + std * rng.standard_normal(policy.action_dim)
+        log_probs[t] = _logp_rows(mean[None, :], action[None, :], inv_var, log_std_sum)[0]
         actions[t] = action
         obs, _, done, _ = env.step(action)
         dones[t] = done

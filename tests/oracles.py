@@ -99,3 +99,21 @@ def gaussian_logp_by_hand(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray) 
         sigma = math.exp(ls)
         total += -0.5 * ((ai - mu) / sigma) ** 2 - ls - 0.5 * math.log(2.0 * math.pi)
     return total
+
+
+def point_step_reference(position, velocity, goal, action, wall: bool):
+    """The point-mass step on 2-vectors with numpy clips and np.linalg.norm,
+    as first written; returns (position', velocity', success)."""
+    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    velocity = np.clip(velocity + 0.05 * a, -0.2, 0.2)
+    new_position = np.clip(position + velocity, -1.0, 1.0)
+    if wall and new_position[1] < 0.4:
+        lo, hi = sorted((float(position[0]), float(new_position[0])))
+        if lo < 0.05 and hi > -0.05:
+            old_x = float(position[0])
+            if abs(old_x) >= 0.05:
+                old_x = math.copysign(0.05, old_x)
+            new_position = np.array([old_x, new_position[1]])
+            velocity = np.array([0.0, velocity[1]])
+    success = bool(np.linalg.norm(new_position - goal) < 0.1)
+    return new_position, velocity, success

@@ -147,6 +147,21 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     assert "disc_widht" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("ppo=3", "ppo"),
+    ('seed="abc"', "seed"),
+    ('disc_lr="x"', "disc_lr"),
+    ("ppo.epochs=0", "ppo.epochs"),
+    ("ppo.minibatch_size=0", "ppo.minibatch_size"),
+])
+def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(sine_dataset)))
+    assert run_cli("train", "--config", str(cfg_path), "-o", str(tmp_path / "r"), "--set", override) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_numerical_abort_exit_code(tmp_path, sine_dataset, capsys):
     # an absurd discriminator lr overflows the forward pass within one iteration

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,49 @@ def test_point_step_never_leaves_bounds(seed):
         s, _, _, _ = point_step(s, rng.uniform(-3, 3, 2))
         assert np.all(np.abs(s.velocity) <= 0.2)
         assert np.all(np.abs(s.position) <= 1.0)
+
+
+def _random_point_steps(rng, n):
+    """(state, action) draws: a third uniform over the arena with actions
+    outside the box, a third near the success radius, and a third that stays
+    put exactly on it, where a differently rounded distance flips success."""
+    draws = []
+    for k in range(n):
+        goal = rng.uniform(-0.85, 0.85, 2)
+        angle = rng.uniform(0, 2 * math.pi)
+        on_circle = goal + 0.1 * np.array([math.cos(angle), math.sin(angle)])
+        steps = int(rng.integers(0, 10))
+        if k % 3 == 0:
+            state = PointReachState(rng.uniform(-1, 1, 2), rng.uniform(-0.2, 0.2, 2), goal, steps)
+            action = rng.uniform(-3, 3, 2)
+        elif k % 3 == 1:
+            state = PointReachState(on_circle + rng.uniform(-0.02, 0.02, 2), rng.uniform(-0.01, 0.01, 2), goal, steps)
+            action = rng.uniform(-0.2, 0.2, 2)
+        else:
+            state = PointReachState(on_circle, np.zeros(2), goal, steps)
+            action = np.zeros(2)
+        draws.append((state, action))
+    return draws
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_point_reach_step_matches_point_step_bitwise(wall):
+    # the env keeps its state as floats; it must agree bit for bit with
+    # point_step plus observe, and both with the numpy reference
+    rng = np.random.default_rng(17 + wall)
+    env = make_env("point_reach", seed=0, horizon=8, wall=wall)
+    successes = 0
+    for s, action in _random_point_steps(rng, 12_000):
+        env.state = s
+        obs, reward, done, success = env.step(action)
+        s2, reward2, done2, success2 = point_step(s, action, horizon=8, wall=wall)
+        assert obs.tobytes() == observe(s2).tobytes()
+        assert (reward, done, success, env.state.steps) == (reward2, done2, success2, s2.steps)
+        position, velocity, success3 = oracles.point_step_reference(s.position, s.velocity, s.goal, action, wall)
+        assert s2.position.tobytes() == position.tobytes() and s2.velocity.tobytes() == velocity.tobytes()
+        assert success2 == success3
+        successes += success
+    assert 1000 < successes < 11_000  # the radius test is exercised on both sides
 
 
 def test_wall_blocks_horizontal_crossing():

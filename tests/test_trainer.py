@@ -8,7 +8,14 @@ from drail_lab import envs, trainer
 from drail_lab.discriminators import build_drail, build_gail, drail_update, reward_for
 from drail_lab.envs import SineWorldSpec, dataset_save, gen_expert_dataset, make_env, sine_expert_sample, sine_grid
 from drail_lab.errors import NumericalAbort
-from drail_lab.policy_opt import PpoConfig, build_policy, build_value_fn, policy_mean_batch
+from drail_lab.policy_opt import (
+    PpoConfig,
+    build_policy,
+    build_value_fn,
+    policy_mean_batch,
+    policy_sample,
+    value_single,
+)
 from drail_lab.trainer import (
     TrainConfig,
     bc_loss,
@@ -140,6 +147,49 @@ def test_collect_rollout_bootstrap_mid_episode():
     buf = collect_rollout(env, policy, vf, 10, np.random.default_rng(3))
     assert not buf.dones[-1]
     assert buf.bootstrap_value != 0.0
+
+
+def _reference_rollout(env_seed, policy, vf, n_steps, rng, horizon, wall):
+    """collect_rollout spelled out with value_single, policy_sample and point_step."""
+    env_rng = np.random.default_rng(env_seed)
+    states, actions, log_probs, values, dones = [], [], [], [], []
+    state = envs.point_reset(1.0, env_rng)
+    done = False
+    for _ in range(n_steps):
+        if done:
+            state = envs.point_reset(1.0, env_rng)
+        obs = envs.observe(state)
+        states.append(obs)
+        values.append(value_single(vf, obs))
+        action, logp = policy_sample(policy, obs, rng)
+        actions.append(action)
+        log_probs.append(logp)
+        state, _, done, _ = envs.point_step(state, action, horizon, wall)
+        dones.append(done)
+    bootstrap = 0.0 if done else value_single(vf, envs.observe(state))
+    return np.array(states), np.array(actions), np.array(log_probs), np.array(values), np.array(dones), bootstrap
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_collect_rollout_matches_reference_loop_bitwise(wall):
+    policy = build_policy(6, 2, hidden=(32, 32), seed=3, init_log_std=0.5)
+    vf = build_value_fn(6, hidden=(32, 32), seed=4)
+    env = make_env("point_reach", seed=9, horizon=37, wall=wall)
+    buf = collect_rollout(env, policy, vf, 1000, np.random.default_rng(5))
+    ref = _reference_rollout(9, policy, vf, 1000, np.random.default_rng(5), 37, wall)
+    for got, want in zip((buf.states, buf.actions, buf.log_probs, buf.values, buf.dones), ref):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.float64(buf.bootstrap_value).tobytes() == np.float64(ref[5]).tobytes()
+    assert buf.dones.sum() >= 20  # several episodes, so resets are covered
+
+
+def test_deterministic_actor_matches_policy_mean_bitwise():
+    policy = build_policy(6, 2, hidden=(32, 32), seed=6)
+    actor = trainer.policy_actor(policy)
+    for obs in np.random.default_rng(7).uniform(-1, 1, (200, 6)):
+        assert actor(obs).tobytes() == policy_mean_batch(policy, obs[None, :])[0].tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        actor(np.full(6, np.nan))
 
 
 # --- reward labeling ----------------------------------------------------------
