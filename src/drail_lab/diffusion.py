@@ -211,14 +211,17 @@ def batched_losses(
     ts: np.ndarray,
     eps_rows: np.ndarray,
     label_rows: np.ndarray,
+    hs: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row single-draw losses; returns (losses, inputs, predictions).
 
     Loss is the mean over coordinates of the squared noise-prediction
-    error, so its scale does not grow with the data dimension.
+    error, so its scale does not grow with the data dimension. Given a
+    list ``hs``, the network's activations are collected there for
+    ``nn_core.backward_activations``.
     """
     inputs = batched_inputs(model, x0_rows, ts, eps_rows, label_rows)
-    preds = nn_core.forward_batch(model.params, model.specs, inputs)
+    preds = nn_core.forward_batch(model.params, model.specs, inputs, hs)
     losses = np.mean((preds - eps_rows) ** 2, axis=1)
     return losses, inputs, preds
 

@@ -109,13 +109,14 @@ def _draw(rng: np.random.Generator, n_rows: int, d: int, T: int) -> tuple[np.nda
     return ts, eps
 
 
-def _branch_losses(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng):
+def _branch_losses(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng, hs: list | None = None):
     """Per-sample real/fake losses under shared draws.
 
     Returns (loss_real, loss_fake) of shape (n,), plus the flat row pieces
     needed for gradients: (x0_rows, ts, eps, inputs, preds) where rows run
     over [all real rows, then all fake rows], each sample repeated
-    sample_count times.
+    sample_count times. Given a list ``hs``, the denoiser's activations
+    are collected there.
     """
     n = states.shape[0]
     m = clf.sample_count
@@ -131,6 +132,7 @@ def _branch_losses(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray
         np.concatenate([ts, ts]),
         np.concatenate([eps, eps]),
         np.concatenate([ones, zeros]),
+        hs,
     )
     if not np.all(np.isfinite(losses)):
         raise ValueError("non-finite denoiser output")
@@ -186,7 +188,8 @@ def drail_disc_loss(
     n_e, n_a = se.shape[0], sa.shape[0]
     states = np.concatenate([se, sa])
     actions = np.concatenate([ae, aa])
-    loss_real, loss_fake, _, _, eps, inputs, preds = _branch_losses(clf, states, actions, rng)
+    hs: list[np.ndarray] = []
+    loss_real, loss_fake, _, _, eps, _, preds = _branch_losses(clf, states, actions, rng, hs)
     delta = loss_fake - loss_real
     loss = float(np.mean(softplus(-delta[:n_e])) + np.mean(softplus(delta[n_e:])))
 
@@ -199,7 +202,7 @@ def drail_disc_loss(
     per_row = np.repeat(dd / m, m)
     coeffs = np.concatenate([-per_row, per_row])  # real rows carry -1, fake rows +1
     upstream = diffusion.loss_grad_upstream(preds, np.concatenate([eps, eps]), coeffs)
-    grad = nn_core.backward_batch(clf.denoiser.params, clf.denoiser.specs, inputs, upstream)
+    grad = nn_core.backward_activations(clf.denoiser.params, clf.denoiser.specs, hs, upstream)
     return loss, grad
 
 
@@ -279,12 +282,13 @@ def gail_disc_loss(
     sa, aa = _check_batch(agent_batch, disc.state_dim, disc.action_dim, "agent")
     n_e, n_a = se.shape[0], sa.shape[0]
     rows = np.concatenate([np.concatenate([se, ae], axis=1), np.concatenate([sa, aa], axis=1)])
-    z = nn_core.forward_batch(disc.params, disc.specs, rows)[:, 0]
+    hs: list[np.ndarray] = []
+    z = nn_core.forward_batch(disc.params, disc.specs, rows, hs)[:, 0]
     loss = float(np.mean(softplus(-z[:n_e])) + np.mean(softplus(z[n_e:])))
     dz = np.empty(n_e + n_a)
     dz[:n_e] = -sigmoid(-z[:n_e]) / n_e
     dz[n_e:] = sigmoid(z[n_e:]) / n_a
-    grad = nn_core.backward_batch(disc.params, disc.specs, rows, dz[:, None])
+    grad = nn_core.backward_activations(disc.params, disc.specs, hs, dz[:, None])
     return loss, grad
 
 
@@ -340,13 +344,14 @@ def build_diffail(
     return DiffailDiscriminator(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 
-def _diffail_losses(disc: DiffailDiscriminator, states: np.ndarray, actions: np.ndarray, rng):
+def _diffail_losses(disc: DiffailDiscriminator, states: np.ndarray, actions: np.ndarray, rng,
+                    hs: list | None = None):
     n = states.shape[0]
     m = disc.sample_count
     den = disc.denoiser
     x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
     ts, eps = _draw(rng, n * m, den.data_dim, den.schedule.T)
-    losses, inputs, preds = diffusion.batched_losses(den, x0_rows, ts, eps, np.zeros((n * m, 0)))
+    losses, inputs, preds = diffusion.batched_losses(den, x0_rows, ts, eps, np.zeros((n * m, 0)), hs)
     if not np.all(np.isfinite(losses)):
         raise ValueError("non-finite denoiser output")
     return losses.reshape(n, m).mean(axis=1), ts, eps, inputs, preds
@@ -399,7 +404,8 @@ def diffail_disc_loss(
     se, ae = _check_batch(expert_batch, disc.state_dim, disc.action_dim, "expert")
     sa, aa = _check_batch(agent_batch, disc.state_dim, disc.action_dim, "agent")
     n_e, n_a = se.shape[0], sa.shape[0]
-    L, _, eps, inputs, preds = _diffail_losses(disc, np.concatenate([se, sa]), np.concatenate([ae, aa]), rng)
+    hs: list[np.ndarray] = []
+    L, _, eps, _, preds = _diffail_losses(disc, np.concatenate([se, sa]), np.concatenate([ae, aa]), rng, hs)
     La = np.maximum(L[n_e:], DIFFAIL_LOSS_FLOOR)
     loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
     dL = np.empty(n_e + n_a)
@@ -408,7 +414,7 @@ def diffail_disc_loss(
     dL[n_e:] = -1.0 / np.expm1(La) / n_a
     coeffs = np.repeat(dL / disc.sample_count, disc.sample_count)
     upstream = diffusion.loss_grad_upstream(preds, eps, coeffs)
-    grad = nn_core.backward_batch(disc.denoiser.params, disc.denoiser.specs, inputs, upstream)
+    grad = nn_core.backward_activations(disc.denoiser.params, disc.denoiser.specs, hs, upstream)
     return loss, grad
 
 

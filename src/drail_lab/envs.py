@@ -30,6 +30,11 @@ ACCEL_GAIN = 0.05
 MAX_SPEED = 0.2
 SUCCESS_RADIUS = 0.1
 DEFAULT_HORIZON = 200
+# reset draws: start and goal midpoints, each offset uniformly within
+# +-_RESET_SPREAD per axis (times noise_scale)
+_START_MID = (-0.7, -0.7)
+_GOAL_MID = (0.7, 0.7)
+_RESET_SPREAD = 0.2
 PD_KP = 4.0
 PD_KD = 6.0
 # single-wall variant: a slab around x=0 reaching up to y=0.4
@@ -281,8 +286,8 @@ def point_reset(noise_scale: float, rng: np.random.Generator) -> PointReachState
     the spread of both draws (zero gives the midpoints exactly)."""
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be >= 0")
-    start = np.array([-0.7, -0.7]) + noise_scale * rng.uniform(-0.2, 0.2, size=2)
-    goal = np.array([0.7, 0.7]) + noise_scale * rng.uniform(-0.2, 0.2, size=2)
+    start = np.array(_START_MID) + noise_scale * rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=2)
+    goal = np.array(_GOAL_MID) + noise_scale * rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=2)
     return PointReachState(start, np.zeros(2), goal, 0)
 
 
@@ -368,29 +373,32 @@ def gen_expert_dataset(
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
-    states: list[np.ndarray] = []
-    actions: list[np.ndarray] = []
+    # scripted_expert and point_step on the observation as Python floats
+    states: list[tuple[float, ...]] = []
+    actions: list[tuple[float, float]] = []
     dones: list[bool] = []
     successes = 0
     attempts = 0
     max_attempts = 10 * n_trajectories
     while successes < n_trajectories and attempts < max_attempts:
         attempts += 1
-        state = point_reset(noise_scale, rng)
-        ep_states, ep_actions, ep_dones = [], [], []
+        obs = tuple(observe(point_reset(noise_scale, rng)).tolist())
+        steps = 0
+        ep_states, ep_actions = [], []
         done = False
         success = False
         while not done:
-            action = scripted_expert(state)
-            ep_states.append(observe(state))
+            px, py, vx, vy, gx, gy = obs
+            action = (min(max(PD_KP * (gx - px) - PD_KD * vx, -1.0), 1.0),
+                      min(max(PD_KP * (gy - py) - PD_KD * vy, -1.0), 1.0))
+            ep_states.append(obs)
             ep_actions.append(action)
-            state, _, done, success = point_step(state, action, horizon, wall)
-            ep_dones.append(done)
+            obs, steps, done, success = _point_dynamics(obs, steps, *action, horizon, wall)
         if success:
             successes += 1
             states.extend(ep_states)
             actions.extend(ep_actions)
-            dones.extend(ep_dones)
+            dones.extend([False] * (len(ep_states) - 1) + [True])
     if successes < n_trajectories or 2 * successes < attempts:
         raise RuntimeError(
             f"scripted expert success rate too low: {successes}/{attempts} attempts succeeded"
@@ -399,12 +407,86 @@ def gen_expert_dataset(
 
 
 # --- env classes -------------------------------------------------------------
+#
+# Each env class is a vector env: n_envs copies of the task stepped in
+# lockstep, their state kept as arrays with one row per copy, and one reset
+# stream that draws the start states of the rows it resets in row order.
+# The 1-wide case keeps the single-env protocol reset() -> obs and
+# step(action) -> (obs, 0.0, done, success).
+
+# rows whose distance to the goal lies this close to the success radius are
+# measured again the way point_step measures them
+_RADIUS_BAND = 1e-12
 
 
-class SineWorld:
+class _VectorEnv:
+    """Shared row bookkeeping. Subclasses name their per-row state arrays in
+    _FIELDS and provide _start(rows), _observe() and _advance(actions)."""
+
+    _FIELDS: tuple[str, ...] = ()
+    state_dim = 0
+    action_dim = 0
+
+    def __init__(self, seed: int, n_envs: int) -> None:
+        if n_envs < 1:
+            raise ValueError("n_envs must be >= 1")
+        self.n_envs = int(n_envs)
+        self._rng = np.random.default_rng(seed)
+        # rows with an episode in progress; a done step closes its row
+        self.open = np.zeros(self.n_envs, dtype=bool)
+
+    def reset_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Start a new episode in each of ``rows`` (indices, drawn in the
+        order given); returns every row's observation."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size:
+            self._start(rows)
+            self.open[rows] = True
+        return self._observe()
+
+    def step_rows(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step every row, all of which must be open; returns the new
+        observations, the done flags and the success flags per row."""
+        a = np.asarray(actions, dtype=np.float64)
+        if a.shape != (self.n_envs, self.action_dim):
+            raise ValueError(f"actions must have shape ({self.n_envs}, {self.action_dim}), got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("action must be finite")
+        if not self.open.all():
+            raise RuntimeError("reset the env before stepping")
+        done, success = self._advance(a)
+        self.open = ~done
+        return self._observe(), done, success
+
+    def keep_rows(self, rows: np.ndarray) -> None:
+        """Drop every row but ``rows``, which keep their state in this order."""
+        for name in (*self._FIELDS, "open"):
+            setattr(self, name, getattr(self, name)[rows])
+        self.n_envs = self.open.size
+
+    # the single-env protocol; each subclass defines its own reset() and
+    # step() over these, so that a wrapper set on one class (the benchmark's
+    # tracer does this) sees only that class's calls
+
+    def _single(self) -> None:
+        if self.n_envs != 1:
+            raise ValueError(f"reset() and step() drive a 1-wide env; this one has {self.n_envs} rows")
+
+    def _reset_single(self) -> np.ndarray:
+        self._single()
+        return self.reset_rows(np.zeros(1, dtype=np.intp))[0]
+
+    def _step_single(self, action) -> tuple[np.ndarray, float, bool, bool]:
+        self._single()
+        obs, done, success = self.step_rows(np.asarray(action, dtype=np.float64).reshape(1, -1))
+        return obs[0], 0.0, bool(done[0]), bool(success[0])
+
+
+class SineWorld(_VectorEnv):
     """One-step episodes: observe s, emit an action, get graded against
     the sine curve within success_tol."""
 
+    _FIELDS = ("_s",)
     state_dim = 1
     action_dim = 1
 
@@ -414,34 +496,36 @@ class SineWorld:
         spec: SineWorldSpec | None = None,
         success_tol: float = 0.1,
         state_range: tuple[float, float] = (0.0, 1.0),
+        n_envs: int = 1,
     ) -> None:
+        super().__init__(seed, n_envs)
         self.spec = spec if spec is not None else SineWorldSpec()
         self.success_tol = float(success_tol)
         self.state_range = (float(state_range[0]), float(state_range[1]))
-        self._rng = np.random.default_rng(seed)
-        self._s: float | None = None
+        self._s = np.zeros(self.n_envs)
 
     def reset(self) -> np.ndarray:
-        self._s = float(self._rng.uniform(*self.state_range))
-        return np.array([self._s])
+        return self._reset_single()
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
-        if self._s is None:
-            raise RuntimeError("reset the env before stepping")
-        a = float(np.asarray(action).reshape(-1)[0])
-        if not math.isfinite(a):
-            raise ValueError("action must be finite")
-        target = float(expert_curve(self.spec, self._s))
-        success = abs(a - target) < self.success_tol
-        obs = np.array([self._s])
-        self._s = None
-        return obs, 0.0, True, success
+        return self._step_single(action)
+
+    def _start(self, rows: np.ndarray) -> None:
+        self._s[rows] = self._rng.uniform(*self.state_range, size=rows.size)
+
+    def _observe(self) -> np.ndarray:
+        return self._s[:, None].copy()
+
+    def _advance(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        success = np.abs(actions[:, 0] - expert_curve(self.spec, self._s)) < self.success_tol
+        return np.ones(self.n_envs, dtype=bool), success
 
 
-class PointReach:
-    """Auto-stepping wrapper around the point-mass dynamics with an
-    internal reset stream."""
+class PointReach(_VectorEnv):
+    """Point-mass reach task; each row's state is its observation
+    [position | velocity | goal] and its episode's step count."""
 
+    _FIELDS = ("_obs", "_steps")
     state_dim = 6
     action_dim = 2
 
@@ -451,44 +535,75 @@ class PointReach:
         noise_scale: float = 1.0,
         horizon: int = DEFAULT_HORIZON,
         wall: bool = False,
+        n_envs: int = 1,
     ) -> None:
         if noise_scale < 0.0:
             raise ValueError("noise_scale must be >= 0")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        super().__init__(seed, n_envs)
         self.noise_scale = float(noise_scale)
         self.horizon = int(horizon)
         self.wall = bool(wall)
-        self._rng = np.random.default_rng(seed)
-        # the current observation as floats, and the episode's step count
-        self._obs: tuple[float, ...] | None = None
-        self._steps = 0
+        self._obs = np.zeros((self.n_envs, self.state_dim))
+        self._steps = np.zeros(self.n_envs, dtype=np.int64)
 
     @property
-    def state(self) -> PointReachState | None:
-        if self._obs is None:
-            return None
-        obs = self._obs
-        return PointReachState(np.array(obs[0:2]), np.array(obs[2:4]), np.array(obs[4:6]), self._steps)
+    def state(self) -> PointReachState:
+        """The state of the single row of a 1-wide env."""
+        self._single()
+        obs = self._obs[0].copy()
+        return PointReachState(obs[0:2], obs[2:4], obs[4:6], int(self._steps[0]))
 
     @state.setter
-    def state(self, state: PointReachState | None) -> None:
-        self._obs = None if state is None else tuple(observe(state).tolist())
-        self._steps = 0 if state is None else state.steps
+    def state(self, state: PointReachState) -> None:
+        self._single()
+        self._obs[0] = observe(state)
+        self._steps[0] = state.steps
+        self.open[0] = True
 
     def reset(self) -> np.ndarray:
-        obs = observe(point_reset(self.noise_scale, self._rng))
-        self._obs = tuple(obs.tolist())
-        self._steps = 0
-        return obs
+        return self._reset_single()
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
-        if self._obs is None:
-            raise RuntimeError("reset the env before stepping")
-        ax, ay = _checked_action(action)
-        self._obs, self._steps, done, success = _point_dynamics(
-            self._obs, self._steps, ax, ay, self.horizon, self.wall)
-        return np.array(self._obs), 0.0, done, success
+        return self._step_single(action)
+
+    def _start(self, rows: np.ndarray) -> None:
+        # point_reset's draws, start offset then goal offset, row after row
+        u = self._rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=(rows.size, 2, 2))
+        self._obs[rows, 0:2] = np.array(_START_MID) + self.noise_scale * u[:, 0]
+        self._obs[rows, 2:4] = 0.0
+        self._obs[rows, 4:6] = np.array(_GOAL_MID) + self.noise_scale * u[:, 1]
+        self._steps[rows] = 0
+
+    def _observe(self) -> np.ndarray:
+        return self._obs.copy()
+
+    def _advance(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_point_dynamics on every row at once."""
+        obs = self._obs
+        position, goal = obs[:, 0:2], obs[:, 4:6]
+        velocity = np.clip(obs[:, 2:4] + ACCEL_GAIN * np.clip(actions, -1.0, 1.0), -MAX_SPEED, MAX_SPEED)
+        new_position = np.clip(position + velocity, -ARENA_LIMIT, ARENA_LIMIT)
+        if self.wall:
+            px, npx = position[:, 0], new_position[:, 0]
+            hit = ((new_position[:, 1] < _WALL_TOP) & (np.minimum(px, npx) < _WALL_HALF_WIDTH)
+                   & (np.maximum(px, npx) > -_WALL_HALF_WIDTH))
+            if hit.any():
+                # stop at the near face of the slab
+                x = px[hit]
+                new_position[hit, 0] = np.where(np.abs(x) >= _WALL_HALF_WIDTH,
+                                                np.copysign(_WALL_HALF_WIDTH, x), x)
+                velocity[hit, 0] = 0.0
+        self._steps = self._steps + 1
+        d = new_position - goal
+        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        # near the radius the last bit decides: take point_step's dot product
+        for i in np.flatnonzero(np.abs(dist - SUCCESS_RADIUS) <= _RADIUS_BAND):
+            dist[i] = math.sqrt(d[i].dot(d[i]))
+        success = dist < SUCCESS_RADIUS
+        self._obs = np.concatenate([new_position, velocity, goal], axis=1)
+        return success | (self._steps >= self.horizon), success
 
 
 def make_env(
@@ -497,9 +612,11 @@ def make_env(
     noise_scale: float = 1.0,
     horizon: int = DEFAULT_HORIZON,
     wall: bool = False,
+    n_envs: int = 1,
 ):
+    """The named task as a vector env of n_envs rows."""
     if name == "sine":
-        return SineWorld(seed=seed)
+        return SineWorld(seed=seed, n_envs=n_envs)
     if name == "point_reach":
-        return PointReach(seed=seed, noise_scale=noise_scale, horizon=horizon, wall=wall)
+        return PointReach(seed=seed, noise_scale=noise_scale, horizon=horizon, wall=wall, n_envs=n_envs)
     raise ValueError(f"unknown env {name!r}; valid envs: {', '.join(ENV_NAMES)}")

@@ -20,6 +20,9 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 _ACT_CODE = {name: code for code, name in enumerate(ACTIVATIONS)}
 _ACT_NAME = {code: name for name, code in _ACT_CODE.items()}
 
+# rows per block of a large forward-only batch
+_FORWARD_BLOCK = 8192
+
 CHECKPOINT_MAGIC = b"DRLP"
 CHECKPOINT_VERSION = 1
 
@@ -179,10 +182,10 @@ def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray
     return x
 
 
-def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, size: int) -> np.ndarray:
+def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Reverse pass over the activations ``hs`` of a forward walk; ``g`` is
-    the (n, out_dim) upstream gradient, ``size`` the flat vector length."""
-    grad = np.zeros(size)
+    the (n, out_dim) upstream gradient. Writes every entry of ``grad``, the
+    flat gradient (or a slice of a longer buffer), and returns it."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, activation, offset = layers[k]
         # derivatives from the activation output; identity's is 1
@@ -198,15 +201,44 @@ def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, size: int) -> 
     return grad
 
 
-def forward_batch(params: ParamStore, specs: tuple[LayerSpec, ...], inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (n, in_dim) batch; returns (n, out_dim)."""
+def forward_batch(
+    params: ParamStore, specs: tuple[LayerSpec, ...], inputs: np.ndarray, hs: list | None = None
+) -> np.ndarray:
+    """Evaluate the network on a (n, in_dim) batch; returns (n, out_dim).
+
+    Given a list ``hs``, the walk also collects its activations there for
+    :func:`backward_activations`. Without it, batches of more than
+    _FORWARD_BLOCK rows are walked a block at a time, so the hidden
+    activations of a large batch never coexist."""
     x = _as_batch(inputs, specs[0].in_dim, "input")
-    return _forward(_layers(params.values, params.layout, specs), x)
+    layers = _layers(params.values, params.layout, specs)
+    n = x.shape[0]
+    if hs is not None or n <= _FORWARD_BLOCK:
+        return _forward(layers, x, hs)
+    out = np.empty((n, specs[-1].out_dim))
+    for lo in range(0, n, _FORWARD_BLOCK):
+        out[lo : lo + _FORWARD_BLOCK] = _forward(layers, x[lo : lo + _FORWARD_BLOCK])
+    return out
 
 
 def forward(params: ParamStore, specs: tuple[LayerSpec, ...], x: np.ndarray) -> np.ndarray:
     """Single-vector forward pass."""
     return forward_batch(params, specs, np.asarray(x)[None, :])[0]
+
+
+def backward_activations(
+    params: ParamStore,
+    specs: tuple[LayerSpec, ...],
+    hs: list[np.ndarray],
+    upstream: np.ndarray,
+) -> np.ndarray:
+    """:func:`backward_batch` on the activations ``hs`` that a
+    ``forward_batch(params, specs, inputs, hs)`` call collected, so the
+    forward is not walked a second time."""
+    g = _as_batch(upstream, specs[-1].out_dim, "upstream")
+    if g.shape[0] != hs[0].shape[0]:
+        raise ValueError(f"upstream rows {g.shape[0]} != input rows {hs[0].shape[0]}")
+    return _backward(_layers(params.values, params.layout, specs), hs, g, np.empty(len(params)))
 
 
 def backward_batch(
@@ -220,14 +252,9 @@ def backward_batch(
     ``upstream`` has shape (n, out_dim). Exact reverse mode; matches central
     finite differences to f64 roundoff on these layer types.
     """
-    X = _as_batch(inputs, specs[0].in_dim, "input")
-    g = _as_batch(upstream, specs[-1].out_dim, "upstream")
-    if g.shape[0] != X.shape[0]:
-        raise ValueError(f"upstream rows {g.shape[0]} != input rows {X.shape[0]}")
-    layers = _layers(params.values, params.layout, specs)
     hs: list[np.ndarray] = []
-    _forward(layers, X, hs)
-    return _backward(layers, hs, g, len(params))
+    forward_batch(params, specs, inputs, hs)
+    return backward_activations(params, specs, hs, upstream)
 
 
 def backward(
@@ -259,18 +286,19 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
 
 
-def _adam_update(
-    state: AdamState, values: np.ndarray, g: np.ndarray, lr_scale: float
-) -> tuple[np.ndarray, AdamState]:
-    """Unchecked bias-corrected Adam step on a flat vector; returns the
-    new vector (a fresh array) and the advanced state."""
-    step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+def _adam_apply(
+    state: AdamState, step: int, values: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, lr_scale: float
+) -> None:
+    """Unchecked bias-corrected Adam step number ``step`` with the
+    hyper-parameters of ``state``, in place on the flat vector ``values``
+    and the moments ``m`` and ``v``."""
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
     m_hat = m / (1.0 - state.beta1**step)
     v_hat = v / (1.0 - state.beta2**step)
-    new_values = values - state.lr * lr_scale * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_values, AdamState(m, v, step, state.lr, state.beta1, state.beta2, state.epsilon)
+    values -= state.lr * lr_scale * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 def adam_step(
@@ -290,9 +318,11 @@ def adam_step(
     bad = np.flatnonzero(~np.isfinite(g))
     if bad.size:
         raise ValueError(f"non-finite gradient at index {bad[0]}")
-    new_values, state = _adam_update(state, params.values, g, lr_scale)
-    # the update's result is a fresh array: the store takes it without a copy
-    return replace(params, values=new_values), state
+    new_values, m, v = params.values.copy(), state.m.copy(), state.v.copy()
+    step = state.step + 1
+    _adam_apply(state, step, new_values, m, v, g, lr_scale)
+    # the store takes the fresh array without a copy
+    return replace(params, values=new_values), replace(state, m=m, v=v, step=step)
 
 
 # --- checkpoint format -------------------------------------------------

@@ -72,8 +72,13 @@ def policy_mean_batch(policy: GaussianPolicy, states: np.ndarray) -> np.ndarray:
 def _logp_rows(means: np.ndarray, actions: np.ndarray, inv_var: np.ndarray, log_std_sum) -> np.ndarray:
     """Row log-densities, given exp(-2 log_std) and sum(log_std); callers in
     hot loops compute those two once per call."""
-    sq = (actions - means) ** 2 * inv_var
-    return -0.5 * sq.sum(axis=1) - log_std_sum - 0.5 * inv_var.size * _LOG_2PI
+    return _logp_from_sq((actions - means) ** 2 * inv_var, log_std_sum)
+
+
+def _logp_from_sq(sq: np.ndarray, log_std_sum) -> np.ndarray:
+    """Row log-densities from the scaled squared deviations
+    (a - mean)^2 * exp(-2 log_std)."""
+    return -0.5 * sq.sum(axis=1) - log_std_sum - 0.5 * sq.shape[1] * _LOG_2PI
 
 
 def _logp_policy_rows(policy: GaussianPolicy, means: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -168,8 +173,14 @@ def value_single(vf: ValueFn, s: np.ndarray) -> float:
 
 @dataclass
 class RolloutBuffer:
-    """Per-step arrays for one rollout; advantages/returns are filled by
-    compute_gae and must be normalized before the policy update."""
+    """Per-step arrays for one rollout of one or more envs; advantages and
+    returns are filled by compute_gae and must be normalized before the
+    policy update.
+
+    The rows are env-major: with E envs, env e's steps fill rows
+    [e*n/E, (e+1)*n/E) in time order, and ``bootstrap_value`` holds the E
+    values of the envs' last observations (zero after a done).
+    """
 
     states: np.ndarray
     actions: np.ndarray
@@ -177,7 +188,7 @@ class RolloutBuffer:
     values: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    bootstrap_value: float
+    bootstrap_value: np.ndarray
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
@@ -189,6 +200,9 @@ class RolloutBuffer:
         for name in ("actions", "log_probs", "values", "rewards", "dones"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"buffer field {name} has mismatched length")
+        self.bootstrap_value = np.atleast_1d(np.asarray(self.bootstrap_value, dtype=np.float64))
+        if self.bootstrap_value.ndim != 1 or n % self.bootstrap_value.size:
+            raise ValueError(f"{self.bootstrap_value.size} bootstrap values do not split {n} rows into envs")
 
 
 def compute_gae(
@@ -257,17 +271,14 @@ class PpoConfig:
 
 @dataclass(frozen=True)
 class PpoOptimizer:
-    """Adam moments for the policy vector and the critic."""
+    """Adam moments of the flat [mean net | log_std | critic] vector that
+    ppo_update trains."""
 
-    policy_opt: AdamState
-    value_opt: AdamState
+    adam: AdamState
 
     @classmethod
     def fresh(cls, policy: GaussianPolicy, vf: ValueFn, lr: float) -> "PpoOptimizer":
-        return cls(
-            AdamState.fresh(len(policy.mean_params) + policy.action_dim, lr),
-            AdamState.fresh(len(vf.params), lr),
-        )
+        return cls(AdamState.fresh(len(policy.mean_params) + policy.action_dim + len(vf.params), lr))
 
 
 def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip: float) -> np.ndarray:
@@ -277,11 +288,10 @@ def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip: float) -> np.nda
     return np.minimum(ratio * adv, np.clip(ratio, 1.0 - clip, 1.0 + clip) * adv)
 
 
-def _clip_global_norm(g: np.ndarray, max_norm: float) -> np.ndarray:
+def _clip_norm_inplace(g: np.ndarray, max_norm: float) -> None:
     norm = float(np.linalg.norm(g))
     if norm > max_norm:
-        return g * (max_norm / norm)
-    return g
+        g *= max_norm / norm
 
 
 def ppo_update(
@@ -316,11 +326,20 @@ def ppo_update(
 
     n = len(buffer)
     n_mean = len(policy.mean_params)
-    # one flat [mean net | log_std] vector for the policy Adam and one for
-    # the critic; snapshots are built once, after the last minibatch
-    theta = policy_theta(policy)
-    v_values = vf.params.values
-    policy_adam, value_adam = opt.policy_opt, opt.value_opt
+    n_pol = n_mean + policy.action_dim
+    # one flat [mean net | log_std | critic] vector with its layer views, a
+    # gradient buffer of the same layout and the Adam moments, all updated
+    # in place; the snapshots are built once, after the last minibatch
+    params = np.concatenate([policy.mean_params.values, policy.log_std, vf.params.values])
+    adam = opt.adam
+    if adam.m.shape != params.shape:
+        raise ValueError(f"optimizer length {adam.m.size} != policy and critic length {params.size}")
+    m, v, step = adam.m.copy(), adam.v.copy(), adam.step
+    log_std = params[n_mean:n_pol]
+    p_layers = nn_core._layers(params, policy.mean_params.layout, policy.specs)
+    v_layers = nn_core._layers(params[n_pol:], vf.params.layout, vf.specs)
+    grad = np.empty_like(params)
+    g_ls, g_policy, g_value = grad[n_mean:n_pol], grad[:n_pol], grad[n_pol:]
 
     ratio_sum = 0.0
     clip_count = 0
@@ -331,55 +350,44 @@ def ppo_update(
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        epoch = (states[order], actions[order], adv[order], returns[order], logp_old[order])
         for start in range(0, n, cfg.minibatch_size):
-            idx = order[start : start + cfg.minibatch_size]
-            S, A = states[idx], actions[idx]
-            adv_mb, ret_mb, old_mb = adv[idx], returns[idx], logp_old[idx]
-            nb = idx.size
+            S, A, adv_mb, ret_mb, old_mb = (a[start : start + cfg.minibatch_size] for a in epoch)
+            nb = S.shape[0]
 
-            log_std = theta[n_mean:]
-            p_layers = nn_core._layers(theta, policy.mean_params.layout, policy.specs)
             p_hs: list[np.ndarray] = []
             means = nn_core._forward(p_layers, S, p_hs)
             inv_var = np.exp(-2.0 * log_std)
-            logp_new = _logp_rows(means, A, inv_var, np.sum(log_std))
-            ratio = np.exp(logp_new - old_mb)
+            diff = A - means
+            sq = diff**2 * inv_var
+            ratio = np.exp(_logp_from_sq(sq, np.sum(log_std)) - old_mb)
             if initial_ratio_err is None:
                 initial_ratio_err = float(np.max(np.abs(ratio - 1.0)))
-            surr = clipped_surrogate(ratio, adv_mb, cfg.clip)
+            unclipped = ratio * adv_mb
+            clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv_mb
             entropy = _entropy(log_std)
 
-            v_layers = nn_core._layers(v_values, vf.params.layout, vf.specs)
             v_hs: list[np.ndarray] = []
             values = nn_core._forward(v_layers, S, v_hs)[:, 0]
             value_loss = cfg.value_coef * float(np.mean((values - ret_mb) ** 2))
-            total_loss = -float(np.mean(surr)) + value_loss - cfg.entropy_coef * entropy
-            if not math.isfinite(total_loss):
-                raise NumericalAbort("ppo loss is non-finite")
+            total_loss = -float(np.mean(np.minimum(unclipped, clipped))) + value_loss - cfg.entropy_coef * entropy
 
             # gradient flows only where the unclipped branch attains the min
-            unclipped = ratio * adv_mb
-            clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv_mb
-            active = unclipped <= clipped
-            dsurr_dlogp = np.where(active, ratio * adv_mb, 0.0) / nb
-
-            dlogp_dmean = (A - means) * inv_var
-            upstream = -dsurr_dlogp[:, None] * dlogp_dmean
-            g_net = nn_core._backward(p_layers, p_hs, upstream, n_mean)
-            dlogp_dls = (A - means) ** 2 * inv_var - 1.0
-            g_ls = -dsurr_dlogp @ dlogp_dls - cfg.entropy_coef * np.ones(policy.action_dim)
-            g_policy = _clip_global_norm(np.concatenate([g_net, g_ls]), MAX_GRAD_NORM)
-
+            dsurr_dlogp = np.where(unclipped <= clipped, unclipped, 0.0) / nb
+            upstream = -dsurr_dlogp[:, None] * (diff * inv_var)
+            nn_core._backward(p_layers, p_hs, upstream, grad)
+            g_ls[:] = -dsurr_dlogp @ (sq - 1.0) - cfg.entropy_coef * np.ones(policy.action_dim)
+            _clip_norm_inplace(g_policy, MAX_GRAD_NORM)
             dv = (2.0 * cfg.value_coef / nb) * (values - ret_mb)
-            g_value = _clip_global_norm(nn_core._backward(v_layers, v_hs, dv[:, None], v_values.size),
-                                        MAX_GRAD_NORM)
+            nn_core._backward(v_layers, v_hs, dv[:, None], g_value)
+            _clip_norm_inplace(g_value, MAX_GRAD_NORM)
 
-            theta, policy_adam = nn_core._adam_update(policy_adam, theta, g_policy, lr_scale)
+            step += 1
+            nn_core._adam_apply(adam, step, params, m, v, grad, lr_scale)
             # the bounds GaussianPolicy puts on log_std, kept on the flat vector
-            np.clip(theta[n_mean:], LOG_STD_MIN, LOG_STD_MAX, out=theta[n_mean:])
-            v_values, value_adam = nn_core._adam_update(value_adam, v_values, g_value, lr_scale)
-            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(v_values))):
-                raise NumericalAbort("ppo parameters are non-finite after the Adam step")
+            np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX, out=log_std)
+            if not (math.isfinite(total_loss) and np.all(np.isfinite(params))):
+                raise NumericalAbort("ppo loss or parameters are non-finite")
 
             ratio_sum += float(np.sum(ratio))
             clip_count += int(np.sum(np.abs(ratio - 1.0) > cfg.clip))
@@ -387,8 +395,8 @@ def ppo_update(
             loss_sum += total_loss
             batch_count += 1
 
-    policy = policy_with_theta(policy, theta)
-    vf = replace(vf, params=vf.params.with_values(v_values))
+    policy = replace(policy, mean_params=policy.mean_params.with_values(params[:n_mean]), log_std=log_std)
+    vf = replace(vf, params=vf.params.with_values(params[n_pol:]))
     stats = {
         "ppo_loss": loss_sum / batch_count,
         "mean_ratio": ratio_sum / sample_count,
@@ -396,7 +404,7 @@ def ppo_update(
         "entropy": policy_entropy(policy),
         "initial_ratio_err": initial_ratio_err,
     }
-    return policy, vf, PpoOptimizer(policy_adam, value_adam), stats
+    return policy, vf, PpoOptimizer(replace(adam, m=m, v=v, step=step)), stats
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -46,15 +46,16 @@ from .policy_opt import (
     compute_gae,
     normalize_advantages,
     policy_mean_batch,
-    policy_sample,
     ppo_update,
-    value_single,
 )
 
 METHODS = ("drail", "gail", "diffail", "bc")
 
 REWARD_CLAMP = 20.0
 _LABEL_CHUNK = 512
+# lockstep envs of a training run: math.gcd(rollout_steps, _N_ENVS), so
+# every env fills the same number of rollout rows
+_N_ENVS = 16
 
 METRICS_HEADER = (
     "env_steps",
@@ -119,10 +120,12 @@ class TrainConfig:
             raise ValueError(f"unknown env {self.env!r}; valid envs: {', '.join(envs.ENV_NAMES)}")
         if self.method != "bc" and self.total_env_steps < self.ppo.rollout_steps:
             raise ValueError("total_env_steps must cover at least one rollout")
-        for name in ("disc_batch", "schedule_steps", "sample_count", "reward_sample_count",
+        for name in ("horizon", "disc_batch", "schedule_steps", "sample_count", "reward_sample_count",
                      "eval_interval", "eval_episodes", "bc_epochs", "bc_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not self.noise_scale >= 0.0:
+            raise ValueError("noise_scale must be >= 0")
         for name in ("disc_hidden", "policy_hidden", "value_hidden"):
             object.__setattr__(self, name, tuple(int(w) for w in getattr(self, name)))
 
@@ -204,14 +207,23 @@ class EvalReport:
 
 
 def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
-    """Observation -> action closure; the default is the mean action."""
-    if stochastic:
-        if rng is None:
-            raise ValueError("stochastic actor needs an rng")
-        return lambda obs: policy_sample(policy, obs, rng)[0]
-    # policy_mean_batch on one row, with the layer views built once
+    """Observation rows -> action rows closure (one observation gives one
+    action); the default is the mean action."""
+    if stochastic and rng is None:
+        raise ValueError("stochastic actor needs an rng")
+    # policy_mean_batch and policy_sample, with the layer views built once
     layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
-    return lambda obs: nn_core._forward(layers, nn_core._as_batch(obs, policy.state_dim, "input"))[0]
+    std = np.exp(policy.log_std)
+
+    def act(obs):
+        means = nn_core._forward(layers, nn_core._as_batch(obs, policy.state_dim, "input"))
+        if stochastic:
+            if not np.isfinite(means).all():
+                raise NumericalAbort("policy mean is non-finite")
+            means = means + std * rng.standard_normal(means.shape)
+        return means[0] if np.ndim(obs) == 1 else means
+
+    return act
 
 
 def evaluate(
@@ -227,8 +239,11 @@ def evaluate(
 ) -> EvalReport:
     """Run episodes split across n_seeds eval streams and count successes.
 
-    The per-episode return is the env's success label (1.0 on success),
-    so mean_return never involves the learned reward.
+    A stream runs all its episodes at once as lockstep envs whose start
+    states are drawn in episode order from the stream's seed. A policy acts
+    on all running episodes in one batch; a callable actor is called on one
+    observation at a time. The per-episode return is the env's success
+    label (1.0 on success), so mean_return never involves the learned reward.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -240,19 +255,22 @@ def evaluate(
     for i in range(n_seeds):
         sub_seed = seed + i
         episodes_here = base + (1 if i < extra else 0)
-        env = make_env(env_name, seed=sub_seed, noise_scale=noise_scale, horizon=horizon, wall=wall)
+        env = make_env(env_name, seed=sub_seed, noise_scale=noise_scale, horizon=horizon, wall=wall,
+                       n_envs=episodes_here)
         if callable(policy):
-            actor = policy
+            def act(obs):
+                return np.array([policy(o) for o in obs])
         else:
-            actor = policy_actor(policy, stochastic, np.random.default_rng(sub_seed))
+            act = policy_actor(policy, stochastic, np.random.default_rng(sub_seed))
+        obs = env.reset_rows(np.arange(episodes_here))
         wins = 0
-        for _ in range(episodes_here):
-            obs = env.reset()
-            done = False
-            success = False
-            while not done:
-                obs, _, done, success = env.step(actor(obs))
-            wins += int(success)
+        while env.n_envs:
+            obs, done, success = env.step_rows(act(obs))
+            wins += int(np.count_nonzero(success))
+            if done.any():
+                running = np.flatnonzero(~done)
+                env.keep_rows(running)
+                obs = obs[running]
         per_seed.append((sub_seed, wins / episodes_here))
         total_wins += wins
     rate = total_wins / n_episodes
@@ -263,15 +281,23 @@ def evaluate(
 
 
 def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng) -> RolloutBuffer:
-    """Sample n_steps on-policy transitions across auto-resetting episodes.
+    """Sample n_steps on-policy transitions, n_steps / env.n_envs from each
+    of the env's lockstep rows, with one value and one policy forward of
+    all rows per step.
 
-    Rewards stay zero; the discriminator labels them afterwards. The
-    trailing value bootstraps truncated episodes (zero after a done).
+    Each row carries its open episode over from the previous call (a row
+    without one starts an episode) and starts a new episode when one ends.
+    Rewards stay zero; the discriminator labels them afterwards. The buffer
+    is env-major, with one bootstrap value per env: the value of its last
+    observation, or zero after a done.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    # value_single and policy_sample per step, with the layer views and the
-    # log-std terms built once and each observation checked once
+    n_envs = env.n_envs
+    if n_steps % n_envs:
+        raise ValueError(f"n_steps {n_steps} is not a multiple of the {n_envs} envs")
+    # value_single and policy_sample on all rows, with the layer views and
+    # the log-std terms built once and each observation checked once
     width = env.state_dim
     for what, in_dim in (("value", vf.specs[0].in_dim), ("policy", policy.state_dim)):
         if in_dim != width:
@@ -281,29 +307,31 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
     std = np.exp(policy.log_std)
     inv_var = np.exp(-2.0 * policy.log_std)
     log_std_sum = np.sum(policy.log_std)
-    states = np.empty((n_steps, env.state_dim))
-    actions = np.empty((n_steps, env.action_dim))
-    log_probs = np.empty(n_steps)
-    values = np.empty(n_steps)
-    dones = np.zeros(n_steps, dtype=bool)
-    obs = env.reset()
-    done = False
-    for t in range(n_steps):
-        if done:
-            obs = env.reset()
-        states[t] = obs
+    steps = n_steps // n_envs
+    states = np.empty((n_envs, steps, width))
+    actions = np.empty((n_envs, steps, env.action_dim))
+    log_probs = np.empty((n_envs, steps))
+    values = np.empty((n_envs, steps))
+    dones = np.empty((n_envs, steps), dtype=bool)
+    obs = env.reset_rows(np.flatnonzero(~env.open))
+    for t in range(steps):
         x = nn_core._as_batch(obs, width, "input")
-        values[t] = nn_core._forward(v_layers, x)[0, 0]
-        mean = nn_core._forward(p_layers, x)[0]
-        if not np.isfinite(mean).all():
+        states[:, t] = x
+        values[:, t] = nn_core._forward(v_layers, x)[:, 0]
+        means = nn_core._forward(p_layers, x)
+        if not np.isfinite(means).all():
             raise NumericalAbort("policy mean is non-finite")
-        action = mean + std * rng.standard_normal(policy.action_dim)
-        log_probs[t] = _logp_rows(mean[None, :], action[None, :], inv_var, log_std_sum)[0]
-        actions[t] = action
-        obs, _, done, _ = env.step(action)
-        dones[t] = done
-    bootstrap = 0.0 if done else value_single(vf, obs)
-    return RolloutBuffer(states, actions, log_probs, values, np.zeros(n_steps), dones, float(bootstrap))
+        action = means + std * rng.standard_normal((n_envs, policy.action_dim))
+        log_probs[:, t] = _logp_rows(means, action, inv_var, log_std_sum)
+        actions[:, t] = action
+        obs, done, _ = env.step_rows(action)
+        dones[:, t] = done
+        if done.any():
+            obs = env.reset_rows(np.flatnonzero(done))
+    last = nn_core._forward(v_layers, nn_core._as_batch(obs, width, "input"))[:, 0]
+    bootstrap = np.where(dones[:, -1], 0.0, last)
+    return RolloutBuffer(states.reshape(n_steps, width), actions.reshape(n_steps, -1), log_probs.ravel(),
+                         values.ravel(), np.zeros(n_steps), dones.ravel(), bootstrap)
 
 
 def label_rewards(buffer: RolloutBuffer, disc, rng) -> tuple[RolloutBuffer, dict]:
@@ -524,7 +552,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     (env_seed, policy_seed, value_seed, disc_seed, rollout_seed,
      batch_seed, label_seed, ppo_seed, eval_seed, bc_seed) = (int(s) for s in seeds)
 
-    env = make_env(cfg.env, seed=env_seed, noise_scale=cfg.noise_scale, horizon=cfg.horizon, wall=cfg.wall)
+    env = make_env(cfg.env, seed=env_seed, noise_scale=cfg.noise_scale, horizon=cfg.horizon, wall=cfg.wall,
+                   n_envs=math.gcd(cfg.ppo.rollout_steps, _N_ENVS))
     if dataset.state_dim != env.state_dim or dataset.action_dim != env.action_dim:
         raise ValueError(
             f"expert dataset dims ({dataset.state_dim}, {dataset.action_dim}) do not match "
@@ -599,9 +628,15 @@ def train(cfg: TrainConfig) -> TrainResult:
         counters["labelings"] += 1
 
         with _abort_scope(iteration, "advantage estimation"):
-            values_ext = np.append(buffer.values, buffer.bootstrap_value)
-            adv, rets = compute_gae(buffer.rewards, values_ext, buffer.dones,
-                                    cfg.ppo.gamma, cfg.ppo.gae_lambda)
+            # one recursion per env over its rows of the env-major buffer
+            adv = np.empty(rollout_len)
+            rets = np.empty(rollout_len)
+            per_env = rollout_len // env.n_envs
+            for e, bootstrap in enumerate(buffer.bootstrap_value):
+                seg = slice(e * per_env, (e + 1) * per_env)
+                adv[seg], rets[seg] = compute_gae(
+                    buffer.rewards[seg], np.append(buffer.values[seg], bootstrap), buffer.dones[seg],
+                    cfg.ppo.gamma, cfg.ppo.gae_lambda)
             if not np.all(np.isfinite(adv)):
                 raise NumericalAbort("non-finite advantage")
             buffer.advantages = normalize_advantages(adv)

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drail_lab
 from drail_lab import cli
 from drail_lab.discriminators import build_drail, save_discriminator
 from drail_lab.envs import dataset_load
@@ -153,6 +156,8 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ('disc_lr="x"', "disc_lr"),
     ("ppo.epochs=0", "ppo.epochs"),
     ("ppo.minibatch_size=0", "ppo.minibatch_size"),
+    ("noise_scale=-1", "noise_scale"),  # the sine world ignores both, yet they must be valid
+    ("horizon=0", "horizon"),
 ])
 def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
     cfg_path = tmp_path / "cfg.json"
@@ -252,6 +257,32 @@ def test_reward_map_deterministic(tmp_path):
     for out in (a, b):
         assert run_cli("reward-map", ckpt, "--resolution", "21x31", "--seed", "7", "-o", out) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# runs argv[1:] as a child and prints its ru_maxrss; a child forked from a
+# large process (pytest) would count that process's pages as its own
+_MAXRSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_reward_map_peak_memory_stays_bounded(tmp_path):
+    # 101x121 cells x 4 draws x 2 label branches is 97,768 denoiser rows per
+    # call; walked in one piece their activations peak near 250 MB
+    ckpt = str(tmp_path / "d.drlp")
+    save_discriminator(ckpt, build_drail(1, 1, sample_count=4, seed=2))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _MAXRSS_LAUNCHER, sys.executable, "-m", "drail_lab.cli",
+                          "reward-map", ckpt, "--resolution", "101x121", "--samples", "4",
+                          "-o", str(tmp_path / "map.csv")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    code, maxrss_kib = (int(x) for x in out.split())
+    assert code == 0
+    assert maxrss_kib / 1024.0 < 150.0
 
 
 def test_reward_map_rejects_policy_checkpoint(tmp_path, capsys):

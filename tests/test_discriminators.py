@@ -437,3 +437,32 @@ def test_load_discriminator_rejects_bare_checkpoint(tmp_path):
     nn_core.save_params(path, params, specs)
     with pytest.raises(ValueError, match="kind"):
         load_discriminator(path)
+
+
+@pytest.mark.parametrize("kind", ["gail", "drail", "diffail"])
+def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
+    # the losses walk the net once and hand that walk's activations to the
+    # backward; the gradient must be backward_batch's on the same rows
+    calls = []
+    walked = nn_core.backward_activations
+
+    def spy(params, specs, hs, upstream):
+        grad = walked(params, specs, hs, upstream)
+        calls.append((params, specs, hs[0].copy(), np.array(upstream, copy=True), grad))
+        return grad
+
+    monkeypatch.setattr(nn_core, "backward_activations", spy)
+    rng = np.random.default_rng(31)
+    expert = (rng.uniform(-1, 1, (24, 2)), rng.uniform(-1, 1, (24, 1)))
+    agent = (rng.uniform(-1, 1, (20, 2)), rng.uniform(-1, 1, (20, 1)))
+    if kind == "gail":
+        _, grad = gail_disc_loss(build_gail(2, 1, hidden=(16, 16), seed=1), expert, agent)
+    elif kind == "drail":
+        clf = build_drail(2, 1, label_dim=4, hidden=(16, 16), T=50, sample_count=3, seed=1)
+        _, grad = drail_disc_loss(clf, expert, agent, np.random.default_rng(5))
+    else:
+        model = build_diffail(2, 1, hidden=(16, 16), T=50, sample_count=3, seed=1)
+        _, grad = diffail_disc_loss(model, expert, agent, np.random.default_rng(5))
+    [(params, specs, inputs, upstream, got)] = calls
+    assert got is grad
+    assert grad.tobytes() == nn_core.backward_batch(params, specs, inputs, upstream).tobytes()

@@ -345,6 +345,78 @@ def test_point_reach_step_matches_point_step_bitwise(wall):
     assert 1000 < successes < 11_000  # the radius test is exercised on both sides
 
 
+def _load_rows(env, states):
+    # put the given PointReachStates into the rows of a vector env
+    env._obs[:] = [observe(s) for s in states]
+    env._steps[:] = [s.steps for s in states]
+    env.open[:] = True
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_vector_point_step_rows_match_point_step_bitwise(wall):
+    # lockstep rows take the vectorized dynamics; each must agree bit for
+    # bit with point_step, on the success radius and at the horizon too
+    rng = np.random.default_rng(23 + wall)
+    n = 16
+    env = make_env("point_reach", seed=0, horizon=8, wall=wall, n_envs=n)
+    draws = _random_point_steps(rng, 6000)
+    successes = horizon_ends = 0
+    for lo in range(0, len(draws) - n + 1, n):
+        chunk = draws[lo : lo + n]
+        _load_rows(env, [s for s, _ in chunk])
+        obs, done, success = env.step_rows(np.array([a for _, a in chunk]))
+        for i, (s, action) in enumerate(chunk):
+            s2, _, done2, success2 = point_step(s, action, horizon=8, wall=wall)
+            assert obs[i].tobytes() == observe(s2).tobytes()
+            assert (bool(done[i]), bool(success[i])) == (done2, success2)
+            successes += success2
+            horizon_ends += done2 and not success2
+    assert 500 < successes < 5500 and horizon_ends > 100
+    assert np.array_equal(env.open, ~done)
+
+
+def test_vector_sine_rows_match_the_single_env_grading():
+    n = 16
+    env = make_env("sine", seed=4, n_envs=n)
+    rng = np.random.default_rng(5)
+    spec = env.spec
+    for _ in range(50):
+        s = env.reset_rows(np.arange(n))[:, 0]
+        targets = np.array([float(expert_curve(spec, float(x))) for x in s])
+        actions = targets + rng.uniform(-0.15, 0.15, n)
+        obs, done, success = env.step_rows(actions[:, None])
+        assert obs[:, 0].tobytes() == s.tobytes() and done.all()
+        assert [bool(x) for x in success] == [abs(float(a) - t) < env.success_tol for a, t in zip(actions, targets)]
+    with pytest.raises(RuntimeError, match="reset"):
+        env.step_rows(actions[:, None])  # every row closed its one-step episode
+
+
+@pytest.mark.parametrize("name", ["point_reach", "sine"])
+def test_vector_reset_draws_rows_in_order_from_one_stream(name):
+    # a k-wide reset draws the start states of k single-env resets in turn
+    wide = make_env(name, seed=8, n_envs=12).reset_rows(np.arange(12))
+    single = make_env(name, seed=8)
+    assert wide.tobytes() == np.array([single.reset() for _ in range(12)]).tobytes()
+    if name == "point_reach":
+        rng = np.random.default_rng(8)
+        assert wide.tobytes() == np.array([observe(point_reset(1.0, rng)) for _ in range(12)]).tobytes()
+
+
+def test_vector_env_keeps_and_resets_chosen_rows():
+    env = make_env("point_reach", seed=1, n_envs=5)
+    obs = env.reset_rows(np.arange(5))
+    env.keep_rows(np.array([4, 1]))
+    assert env.n_envs == 2 and np.array_equal(env.reset_rows(np.array([], dtype=int)), obs[[4, 1]])
+    fresh = env.reset_rows(np.array([1]))
+    assert np.array_equal(fresh[0], obs[4]) and not np.array_equal(fresh[1], obs[1])
+    with pytest.raises(ValueError, match="shape"):
+        env.step_rows(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        env.step_rows(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="1-wide"):
+        env.reset()
+
+
 def test_wall_blocks_horizontal_crossing():
     s = PointReachState(np.array([-0.2, 0.0]), np.zeros(2), np.array([0.9, 0.0]))
     for _ in range(30):

@@ -45,29 +45,37 @@ GOLDEN = {
         "final_eval.json": "b98cf1ebb3bcc69678e2b2ee2caacd3853c2e7d3fdf66ae06f2da33593c149de",
     },
     "diffail-point_reach": {
-        "metrics.csv": "f5ae9f9fbf88ef5a8e0fd1ae16c585c5ff10f9be8355ee7e14e4c343ef2d603b",
-        "policy.drlp": "bd1bebfc0edcfa153f57ccd5b0ecc8bb3f229c921e443355d00743b987d98443",
-        "discriminator.drlp": "b2681faa063f0bf2209f3e62c759346b3fd4dec8cae9d61ceb776c0aa5471b3c",
+        "metrics.csv": "84ffa890ee5db6f10f6db6b16c8224d9f22fc1fc02a2486390d7cbbebfc625c1",
+        "policy.drlp": "719f34f4d1b608eea27107414fb6fcf9b4238c5c0e2d1755033445193fb10c4b",
+        "discriminator.drlp": "a63649883dd7961ff694decf69cec17be41e7ebdef67ab5a4a483e41e07105f5",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-point_reach": {
-        "metrics.csv": "111529ace91bb2fe85f2c378a65ef3ee37e38a1cb1b66e15925954a438776fcb",
-        "policy.drlp": "1af46ace0e5011d867a3288f72db9c0907939d42e7622e826cecc6ec52d0e341",
-        "discriminator.drlp": "5d98fa4866c8f64237c95e063632c75182e5dea178ba874b4282e91b9cea4df3",
+        "metrics.csv": "2426020b08673a2e2a5fa2aa08c0aff9def97cfcc437844b9794bd2ec1995c55",
+        "policy.drlp": "ec1db35e5262c43a3c041ef7be2b2d02e8515e0c1bec81737143f414fcb41b38",
+        "discriminator.drlp": "4dc5cf9d841ccac27825416ca7df090b331b649268585f2815399c1bf2a23eca",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-sine": {
-        "metrics.csv": "6e6db9c9324d563c1604cd961c141439cd81da220a8a82fcd671af98a7bf4ecb",
-        "policy.drlp": "f9378e88aae2707782fec3973e4435e29f6d8e553002575d7c239b4a8c8e44b3",
-        "discriminator.drlp": "06197f1b20f5060e02618d76e1ab49c8b56605b0fb9cf75c345b50da6064ba26",
-        "final_eval.json": "c7d5b643173f8b664dddc600a3913df617d24a82aa542698aadeaba982460042",
+        "metrics.csv": "787c3fb5a1f02d30b5e8026b8a03ac36ace570a5cdaea6a8a04036aba0a1466b",
+        "policy.drlp": "5b94f0fa931cf737feb5981d7c0d96919a731125a71bfa2c5c283fb435dd59d9",
+        "discriminator.drlp": "b60c287a502e7f52598d5462489b862148b0266520c0af25924b1c21af4c9899",
+        "final_eval.json": "c8e8b9918ae39e3cf8baf0ef762b9b4aa35c027c9bab1824e6393753285195e4",
     },
     "gail-point_reach": {
-        "metrics.csv": "1451a7a7a8fa5ed93b31ca7ac7594a16e3c96806dce60d28a5c2f41cb67cc98c",
-        "policy.drlp": "03a60d889fdf32e7a1083f69ce634a3eafdd4e96e8e9a4c116c8a318aff74898",
-        "discriminator.drlp": "32f7de69a5d30147e1b16e1e8806999cb9bed4da8602be0da850940bcc50eb2d",
+        "metrics.csv": "e2b0aca25bcdf7726e0b99f6f7bd08146b98b722e65aac8ee1c36f539312a9dd",
+        "policy.drlp": "a08b9a2f24f5a4df43bb1a083f1d9a1a4d511f0c75eb9c6728b41a47822c616c",
+        "discriminator.drlp": "904f879fec92a20f1832e7bc82a80b762d3d372745038ade7b36092b072523c4",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
+}
+
+
+# sha256 of `gen-expert --env point_reach --n 100 --seed 4`, without and
+# with the wall
+EXPERT_DATASETS = {
+    False: "4e15d6b9da137441eaab0618c48227ba8b58e5c55c465d787c21ac3a3db50931",
+    True: "785c185f57299956c5b3e686cc3660759e604e7f840928cc4c5b63a070acb366",
 }
 
 
@@ -103,3 +111,12 @@ def train_case(name: str, experts: dict, tmp_path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_run_bytes(name, experts, tmp_path):
     assert train_case(name, experts, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_golden_expert_dataset_bytes(wall, tmp_path):
+    path = str(tmp_path / "expert.drld")
+    args = ["gen-expert", "--env", "point_reach", "--n", "100", "--seed", "4", "-o", path]
+    assert cli.main(args + ["--wall"] * wall) == 0
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == EXPERT_DATASETS[wall]

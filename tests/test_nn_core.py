@@ -253,3 +253,25 @@ def test_checkpoint_truncation_reports_bytes(tmp_path):
     path.write_bytes(blob[:-7])
     with pytest.raises(ValueError, match="expected .* bytes"):
         nn_core.load_params(str(path))
+
+
+def test_forward_batch_walks_large_batches_in_blocks_with_the_same_bytes():
+    specs = (LayerSpec(3, 16, "relu"), LayerSpec(16, 16, "tanh"), LayerSpec(16, 2, "identity"))
+    params = init_params(specs, seed=2)
+    x = np.random.default_rng(0).normal(size=(2 * nn_core._FORWARD_BLOCK + 5, 3))
+    one_walk = nn_core._forward(nn_core._layers(params.values, params.layout, specs), x)
+    assert forward_batch(params, specs, x).tobytes() == one_walk.tobytes()
+    hs = []
+    assert forward_batch(params, specs, x, hs).tobytes() == one_walk.tobytes()
+    assert len(hs) == 4 and hs[0].shape == x.shape  # collected in one walk
+
+
+def test_backward_activations_checks_upstream():
+    specs = (LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "identity"))
+    params = init_params(specs, seed=0)
+    hs = []
+    forward_batch(params, specs, np.zeros((5, 3)), hs)
+    with pytest.raises(ValueError, match="rows"):
+        nn_core.backward_activations(params, specs, hs, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        nn_core.backward_activations(params, specs, hs, np.full((5, 2), np.nan))

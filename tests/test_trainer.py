@@ -183,6 +183,41 @@ def test_collect_rollout_matches_reference_loop_bitwise(wall):
     assert buf.dones.sum() >= 20  # several episodes, so resets are covered
 
 
+def test_collect_rollout_carries_open_episodes_into_the_next_rollout():
+    # 4 lockstep envs, 10 steps each per rollout, horizon 15: the first
+    # episodes are open at the end of the first rollout and go on in the
+    # second (an untrained policy does not reach the goal in 15 steps)
+    env = make_env("point_reach", seed=6, horizon=15, n_envs=4)
+    policy = build_policy(6, 2, hidden=(8,), seed=0)
+    vf = build_value_fn(6, hidden=(8,), seed=1)
+    rng = np.random.default_rng(2)
+    first = collect_rollout(env, policy, vf, 40, rng)
+    second = collect_rollout(env, policy, vf, 40, rng)
+    assert first.bootstrap_value.shape == (4,) and not first.dones.any()
+    for e in range(4):
+        last, nxt = 10 * e + 9, 10 * e  # env e's last row, and its first row of the next rollout
+        # the bootstrap is the value of the state the next rollout starts from
+        assert first.bootstrap_value[e].tobytes() == second.values[nxt].tobytes()
+        state = envs.PointReachState(first.states[last, :2], first.states[last, 2:4], first.states[last, 4:], 0)
+        stepped, _, _, _ = envs.point_step(state, first.actions[last], horizon=15)
+        assert second.states[nxt].tobytes() == envs.observe(stepped).tobytes()
+        # the step count carried over too: the episode ends at its 15th step
+        assert np.flatnonzero(second.dones[nxt : nxt + 10])[0] == 4
+
+
+def test_collect_rollout_rerun_gives_the_same_bytes():
+    policy = build_policy(6, 2, hidden=(16,), seed=4, init_log_std=0.3)
+    vf = build_value_fn(6, hidden=(16,), seed=5)
+    runs = []
+    for _ in range(2):
+        env = make_env("point_reach", seed=3, horizon=30, wall=True, n_envs=16)
+        rng = np.random.default_rng(9)
+        bufs = [collect_rollout(env, policy, vf, 256, rng) for _ in range(3)]
+        runs.append(b"".join(a.tobytes() for b in bufs for a in (b.states, b.actions, b.log_probs, b.values,
+                                                                   b.dones, b.bootstrap_value)))
+    assert runs[0] == runs[1]
+
+
 def test_deterministic_actor_matches_policy_mean_bitwise():
     policy = build_policy(6, 2, hidden=(32, 32), seed=6)
     actor = trainer.policy_actor(policy)
@@ -426,6 +461,52 @@ def test_train_gail_and_diffail_run(sine_expert_file):
         result = train(_tiny_cfg(sine_expert_file, method=method))
         assert result.counters["iterations"] == 1
         assert result.discriminator is not None
+
+
+def test_train_gae_runs_per_env_column(point_expert_file, monkeypatch):
+    # train splits the env-major buffer into its 16 env columns, one
+    # compute_gae call each with that env's bootstrap value
+    gae_calls, buffers = [], []
+    real_gae, real_ppo = trainer.compute_gae, trainer.ppo_update
+
+    def gae_spy(*args):
+        out = real_gae(*args)
+        gae_calls.append((args, out))
+        return out
+
+    def ppo_spy(policy, vf, buffer, *args):
+        buffers.append(buffer)
+        return real_ppo(policy, vf, buffer, *args)
+
+    monkeypatch.setattr(trainer, "compute_gae", gae_spy)
+    monkeypatch.setattr(trainer, "ppo_update", ppo_spy)
+    cfg = _tiny_cfg(point_expert_file, env="point_reach", horizon=3, total_env_steps=128,
+                    ppo=PpoConfig(rollout_steps=64, minibatch_size=32, epochs=1))
+    train(cfg)
+    assert len(buffers) == 2 and len(gae_calls) == 32
+    for it, buf in enumerate(buffers):
+        advs = []
+        for e in range(16):
+            (rewards, values, dones, gamma, lam), (adv, rets) = gae_calls[16 * it + e]
+            seg = slice(4 * e, 4 * e + 4)
+            assert rewards.tobytes() == buf.rewards[seg].tobytes()
+            assert values.tobytes() == np.append(buf.values[seg], buf.bootstrap_value[e]).tobytes()
+            assert dones.tobytes() == buf.dones[seg].tobytes()
+            assert (gamma, lam) == (cfg.ppo.gamma, cfg.ppo.gae_lambda)
+            assert rets.tobytes() == buf.returns[seg].tobytes()
+            advs.append(adv)
+        assert buf.advantages.tobytes() == trainer.normalize_advantages(np.concatenate(advs)).tobytes()
+        # rows of one env follow each other in time: each row is the
+        # previous row stepped, unless the previous step ended an episode
+        for e in range(16):
+            for t in range(4 * e + 1, 4 * e + 4):
+                if buf.dones[t - 1]:
+                    continue
+                prev = buf.states[t - 1]
+                state = envs.PointReachState(prev[:2], prev[2:4], prev[4:], 0)
+                stepped, _, _, _ = envs.point_step(state, buf.actions[t - 1])
+                assert buf.states[t].tobytes() == envs.observe(stepped).tobytes()
+    assert any(buf.dones.any() for buf in buffers)
 
 
 def test_train_bc_branch(sine_expert_file):
