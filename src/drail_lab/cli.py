@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import envs, nn_core
-from .discriminators import (
-    DiffailDiscriminator,
-    DrailClassifier,
-    GailDiscriminator,
-    load_discriminator,
-    save_discriminator,
-)
+from .discriminators import load_discriminator, save_discriminator
 from .envs import ENV_NAMES, SineWorldSpec, dataset_save, gen_expert_dataset, sine_expert_sample, sine_grid
 from .errors import NumericalAbort
 from .fileio import atomic_write
@@ -205,15 +199,9 @@ def _describe_checkpoint(path: str) -> str:
     head = f"checkpoint: layers {arch}, {len(params)} parameters"
     try:
         disc = load_discriminator(path)
-    except ValueError:
-        disc = None
-    if isinstance(disc, GailDiscriminator):
-        return f"{head}, kind gail (state_dim={disc.state_dim}, action_dim={disc.action_dim})"
-    if isinstance(disc, (DiffailDiscriminator, DrailClassifier)):
-        kind = "drail" if isinstance(disc, DrailClassifier) else "diffail"
-        den = disc.denoiser
-        return (f"{head}, kind {kind} (state_dim={den.state_dim}, action_dim={den.action_dim}, "
-                f"label_dim={den.label_dim}, T={den.schedule.T}, sample_count={disc.sample_count})")
+        return f"{head}, kind {disc.kind} ({disc.describe()})"
+    except ValueError:  # a policy's log_std or an unknown trailer
+        pass
     if trailer and len(trailer) % 8 == 0:
         log_std = np.frombuffer(trailer, dtype="<f8")
         return f"{head}, kind policy (log_std={np.array2string(log_std, precision=4)})"

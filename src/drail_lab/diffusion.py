@@ -9,6 +9,7 @@ the training loss; discriminators build classifiers out of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -91,6 +92,15 @@ def _time_embedding_batch(ts: np.ndarray, T: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _time_table(T: int, dim: int) -> np.ndarray:
+    """Read-only sinusoidal features of every timestep 0..T, one row each;
+    a row equals _time_embedding_batch's row for that t bit for bit."""
+    table = _time_embedding_batch(np.arange(T + 1, dtype=np.float64), T, dim)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class ConditionLabel:
     """Binary condition fed to the denoiser: real=all ones, fake=all zeros."""
@@ -151,10 +161,14 @@ class Denoiser:
         return replace(self, params=params)
 
     def time_features(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
+        """Feature rows of integer timesteps ts, each in [0, T]."""
+        ts = np.asarray(ts)
+        # a table gather would wrap a negative t silently
+        if ts.size and not (0 <= ts.min() and ts.max() <= self.schedule.T):
+            raise ValueError(f"timestep outside [0, {self.schedule.T}]")
         if self.time_mode == "scalar":
             return (ts / self.schedule.T)[:, None]
-        return _time_embedding_batch(ts, self.schedule.T, self.time_embed_dim)
+        return _time_table(self.schedule.T, self.time_embed_dim)[ts]
 
 
 def build_denoiser(
@@ -172,11 +186,7 @@ def build_denoiser(
     if time_mode == "scalar":
         time_embed_dim = 1
     in_dim = state_dim + action_dim + label_dim + time_embed_dim
-    dims = (in_dim, *hidden, state_dim + action_dim)
-    specs = tuple(
-        LayerSpec(a, b, "relu" if k < len(dims) - 2 else "identity")
-        for k, (a, b) in enumerate(zip(dims, dims[1:]))
-    )
+    specs = nn_core.mlp_specs((in_dim, *hidden, state_dim + action_dim), "relu")
     return Denoiser(
         params=nn_core.init_params(specs, seed),
         specs=specs,

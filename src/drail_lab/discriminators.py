@@ -15,6 +15,10 @@ Three ways to score how expert-like a state-action pair is:
 
 All losses are the binary cross-entropy with expert pairs as the positive
 class, written in softplus form for numerical stability.
+
+Each class carries what its kind decides (name, checkpoint code, update,
+raw reward, one-draw probability, checkpoint trailer), so callers never
+ask which kind they hold.
 """
 
 from __future__ import annotations
@@ -28,14 +32,18 @@ from . import diffusion, nn_core
 from .diffusion import Denoiser, build_cosine_schedule, build_denoiser
 from .nn_core import AdamState, LayerSpec, ParamStore, adam_step
 
-KIND_GAIL = 0
-KIND_DIFFAIL = 1
-KIND_DRAIL = 2
-
 # floor applied to the diffail loss before the log in its reward, plus the
 # reward floor for the opposite limit
 DIFFAIL_LOSS_FLOOR = 1e-7
 DIFFAIL_REWARD_FLOOR = -20.0
+
+# Discriminator files are the nn-core block plus a trailer: the class's
+# kind code (u8), then kind-specific metadata (dims, schedule parameters,
+# draw count, learning rate), packed little-endian.
+_TIME_MODE_CODE = {"sinusoidal": 0, "scalar": 1}
+_TIME_MODE_NAME = {v: k for k, v in _TIME_MODE_CODE.items()}
+_GAIL_META = struct.Struct("<IId")
+_DIFFUSION_META = struct.Struct("<IIIIBIdId")
 
 
 def sigmoid(x):
@@ -61,17 +69,19 @@ def _check_batch(batch: tuple[np.ndarray, np.ndarray], state_dim: int, action_di
     return states, actions
 
 
-# --- drail ----------------------------------------------------------------
+# --- the denoiser-based kinds ---------------------------------------------
 
 
 @dataclass(frozen=True)
-class DrailClassifier:
-    """Conditional denoiser + optimizer; sample_count draws are averaged
-    per logit evaluation, with each draw shared by both label branches."""
+class _DenoisingDiscriminator:
+    """What drail and diffail share: a denoiser, its optimizer, and
+    sample_count draws averaged per evaluation."""
 
     denoiser: Denoiser
     optimizer: AdamState
     sample_count: int = 1
+
+    stochastic = True
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
@@ -84,6 +94,68 @@ class DrailClassifier:
     @property
     def action_dim(self) -> int:
         return self.denoiser.action_dim
+
+    def with_sample_count(self, sample_count: int):
+        return replace(self, sample_count=sample_count)
+
+    def describe(self) -> str:
+        return (f"state_dim={self.state_dim}, action_dim={self.action_dim}, label_dim={self.denoiser.label_dim}, "
+                f"T={self.denoiser.schedule.T}, sample_count={self.sample_count}")
+
+    def checkpoint(self) -> tuple[ParamStore, tuple[LayerSpec, ...], bytes]:
+        """The net and the trailer that save_discriminator writes."""
+        den = self.denoiser
+        return den.params, den.specs, bytes([self.code]) + _DIFFUSION_META.pack(
+            den.state_dim,
+            den.action_dim,
+            den.label_dim,
+            den.time_embed_dim,
+            _TIME_MODE_CODE[den.time_mode],
+            den.schedule.T,
+            den.schedule.s_offset,
+            self.sample_count,
+            self.optimizer.lr,
+        )
+
+    @classmethod
+    def from_checkpoint(cls, params: ParamStore, specs: tuple[LayerSpec, ...], meta: bytes):
+        if len(meta) != _DIFFUSION_META.size:
+            raise ValueError(f"corrupt {cls.kind} checkpoint trailer")
+        s_dim, a_dim, label_dim, te_dim, tm, T, s_offset, m, lr = _DIFFUSION_META.unpack(meta)
+        if tm not in _TIME_MODE_NAME:
+            raise ValueError(f"corrupt {cls.kind} checkpoint trailer: unknown time_mode code {tm}")
+        den = Denoiser(
+            params=params,
+            specs=specs,
+            state_dim=s_dim,
+            action_dim=a_dim,
+            label_dim=label_dim,
+            time_embed_dim=te_dim,
+            schedule=build_cosine_schedule(T, s_offset),
+            time_mode=_TIME_MODE_NAME[tm],
+        )
+        return cls(den, AdamState.fresh(len(params), lr), m)
+
+
+# --- drail ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DrailClassifier(_DenoisingDiscriminator):
+    """Conditional denoiser + optimizer; sample_count draws are averaged
+    per logit evaluation, with each draw shared by both label branches."""
+
+    kind = "drail"
+    code = 2
+
+    def update(self, expert_batch, agent_batch, rng):
+        return drail_update(self, expert_batch, agent_batch, rng)
+
+    def raw_rewards(self, states: np.ndarray, actions: np.ndarray, rng) -> tuple[np.ndarray, int]:
+        return drail_logit_batch(self, states, actions, rng), 0
+
+    def draw_probs(self, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
+        return sigmoid(drail_logit_batch(self, states, actions, rng))
 
 
 def build_drail(
@@ -170,10 +242,6 @@ def drail_reward(clf: DrailClassifier, s: np.ndarray, a: np.ndarray, rng) -> flo
     return delta
 
 
-def drail_reward_batch(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
-    return drail_logit_batch(clf, states, actions, rng)
-
-
 def drail_disc_loss(
     clf: DrailClassifier,
     expert_batch: tuple[np.ndarray, np.ndarray],
@@ -231,11 +299,43 @@ class GailDiscriminator:
     state_dim: int
     action_dim: int
 
+    kind = "gail"
+    code = 0
+    # a deterministic logit: one probability per point, whatever the draws
+    stochastic = False
+
     def __post_init__(self) -> None:
         if self.specs[-1].out_dim != 1:
             raise ValueError("discriminator output must be a single real")
         if self.specs[0].in_dim != self.state_dim + self.action_dim:
             raise ValueError("discriminator input width must be state_dim + action_dim")
+
+    def update(self, expert_batch, agent_batch, rng):
+        """One Adam step; gail draws nothing from rng."""
+        return gail_update(self, expert_batch, agent_batch)
+
+    def raw_rewards(self, states: np.ndarray, actions: np.ndarray, rng) -> tuple[np.ndarray, int]:
+        return gail_logit_batch(self, states, actions), 0
+
+    def draw_probs(self, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
+        return sigmoid(gail_logit_batch(self, states, actions))
+
+    def with_sample_count(self, sample_count: int) -> "GailDiscriminator":
+        return self
+
+    def describe(self) -> str:
+        return f"state_dim={self.state_dim}, action_dim={self.action_dim}"
+
+    def checkpoint(self) -> tuple[ParamStore, tuple[LayerSpec, ...], bytes]:
+        trailer = bytes([self.code]) + _GAIL_META.pack(self.state_dim, self.action_dim, self.optimizer.lr)
+        return self.params, self.specs, trailer
+
+    @classmethod
+    def from_checkpoint(cls, params: ParamStore, specs: tuple[LayerSpec, ...], meta: bytes):
+        if len(meta) != _GAIL_META.size:
+            raise ValueError("corrupt gail checkpoint trailer")
+        state_dim, action_dim, lr = _GAIL_META.unpack(meta)
+        return cls(params, specs, AdamState.fresh(len(params), lr), state_dim, action_dim)
 
 
 def build_gail(
@@ -245,11 +345,7 @@ def build_gail(
     lr: float = 1e-3,
     seed: int = 0,
 ) -> GailDiscriminator:
-    dims = (state_dim + action_dim, *hidden, 1)
-    specs = tuple(
-        LayerSpec(a, b, "tanh" if k < len(dims) - 2 else "identity")
-        for k, (a, b) in enumerate(zip(dims, dims[1:]))
-    )
+    specs = nn_core.mlp_specs((state_dim + action_dim, *hidden, 1), "tanh")
     params = nn_core.init_params(specs, seed)
     return GailDiscriminator(params, specs, AdamState.fresh(len(params), lr), state_dim, action_dim)
 
@@ -267,10 +363,6 @@ def gail_prob(disc: GailDiscriminator, s: np.ndarray, a: np.ndarray) -> float:
 def gail_reward(disc: GailDiscriminator, s: np.ndarray, a: np.ndarray) -> float:
     """Log-odds reward: for a sigmoid head, log D - log(1 - D) is the raw logit."""
     return float(gail_logit_batch(disc, s, a)[0])
-
-
-def gail_reward_batch(disc: GailDiscriminator, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return gail_logit_batch(disc, states, actions)
 
 
 def gail_disc_loss(
@@ -306,26 +398,26 @@ def gail_update(
 
 
 @dataclass(frozen=True)
-class DiffailDiscriminator:
+class DiffailDiscriminator(_DenoisingDiscriminator):
     """Unconditional denoiser; probability exp(-L), boundary at L = ln 2."""
 
-    denoiser: Denoiser
-    optimizer: AdamState
-    sample_count: int = 1
+    kind = "diffail"
+    code = 1
 
     def __post_init__(self) -> None:
         if self.denoiser.label_dim != 0:
             raise ValueError("diffail denoiser must be unconditional (label_dim 0)")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        super().__post_init__()
 
-    @property
-    def state_dim(self) -> int:
-        return self.denoiser.state_dim
+    def update(self, expert_batch, agent_batch, rng):
+        return diffail_update(self, expert_batch, agent_batch, rng)
 
-    @property
-    def action_dim(self) -> int:
-        return self.denoiser.action_dim
+    def raw_rewards(self, states: np.ndarray, actions: np.ndarray, rng) -> tuple[np.ndarray, int]:
+        """Rewards and how many losses hit the floor."""
+        return diffail_reward_from_loss(diffail_loss_batch(self, states, actions, rng))
+
+    def draw_probs(self, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
+        return np.exp(-diffail_loss_batch(self, states, actions, rng))
 
 
 def build_diffail(
@@ -387,12 +479,6 @@ def diffail_reward(disc: DiffailDiscriminator, s: np.ndarray, a: np.ndarray, rng
     return float(diffail_reward_from_loss(L)[0][0])
 
 
-def diffail_reward_batch(
-    disc: DiffailDiscriminator, states: np.ndarray, actions: np.ndarray, rng
-) -> tuple[np.ndarray, int]:
-    return diffail_reward_from_loss(diffail_loss_batch(disc, states, actions, rng))
-
-
 def diffail_disc_loss(
     disc: DiffailDiscriminator,
     expert_batch: tuple[np.ndarray, np.ndarray],
@@ -429,7 +515,7 @@ def diffail_update(
     return replace(disc, denoiser=disc.denoiser.with_params(params), optimizer=opt), loss
 
 
-# --- shared helpers -------------------------------------------------------
+# --- kind-blind entry points ----------------------------------------------
 
 
 def discriminator_probs(disc, points: np.ndarray, rng, samples_per_point: int = 1) -> np.ndarray:
@@ -438,96 +524,30 @@ def discriminator_probs(disc, points: np.ndarray, rng, samples_per_point: int = 
     points = np.asarray(points, dtype=np.float64)
     states = points[:, : disc.state_dim]
     actions = points[:, disc.state_dim :]
-    if isinstance(disc, GailDiscriminator):
-        return sigmoid(gail_logit_batch(disc, states, actions))
+    draws = samples_per_point if disc.stochastic else 1
     acc = np.zeros(points.shape[0])
-    for _ in range(samples_per_point):
-        if isinstance(disc, DrailClassifier):
-            acc += sigmoid(drail_logit_batch(disc, states, actions, rng))
-        elif isinstance(disc, DiffailDiscriminator):
-            acc += np.exp(-diffail_loss_batch(disc, states, actions, rng))
-        else:
-            raise TypeError(f"unknown discriminator type {type(disc).__name__}")
-    return acc / samples_per_point
+    for _ in range(draws):
+        acc += disc.draw_probs(states, actions, rng)
+    return acc / draws
 
 
 def reward_for(disc, states: np.ndarray, actions: np.ndarray, rng) -> tuple[np.ndarray, int]:
     """Method-specific raw rewards plus a saturation count (diffail only)."""
-    if isinstance(disc, DrailClassifier):
-        return drail_reward_batch(disc, states, actions, rng), 0
-    if isinstance(disc, GailDiscriminator):
-        return gail_reward_batch(disc, states, actions), 0
-    if isinstance(disc, DiffailDiscriminator):
-        return diffail_reward_batch(disc, states, actions, rng)
-    raise TypeError(f"unknown discriminator type {type(disc).__name__}")
-
-
-# --- checkpointing ----------------------------------------------------------
-#
-# Discriminator files are the nn-core block plus a trailer: kind u8, then
-# kind-specific metadata (dims, schedule parameters, draw count, learning
-# rate), packed little-endian.
-
-_TIME_MODE_CODE = {"sinusoidal": 0, "scalar": 1}
-_TIME_MODE_NAME = {v: k for k, v in _TIME_MODE_CODE.items()}
-
-_GAIL_META = struct.Struct("<IId")
-_DIFFUSION_META = struct.Struct("<IIIIBIdId")
-
-
-def _denoiser_trailer(kind: int, disc) -> bytes:
-    den = disc.denoiser
-    return bytes([kind]) + _DIFFUSION_META.pack(
-        den.state_dim,
-        den.action_dim,
-        den.label_dim,
-        den.time_embed_dim,
-        _TIME_MODE_CODE[den.time_mode],
-        den.schedule.T,
-        den.schedule.s_offset,
-        disc.sample_count,
-        disc.optimizer.lr,
-    )
+    return disc.raw_rewards(states, actions, rng)
 
 
 def save_discriminator(path: str, disc) -> None:
-    if isinstance(disc, GailDiscriminator):
-        trailer = bytes([KIND_GAIL]) + _GAIL_META.pack(disc.state_dim, disc.action_dim, disc.optimizer.lr)
-        nn_core.save_params(path, disc.params, disc.specs, trailer)
-    elif isinstance(disc, DiffailDiscriminator):
-        nn_core.save_params(path, disc.denoiser.params, disc.denoiser.specs, _denoiser_trailer(KIND_DIFFAIL, disc))
-    elif isinstance(disc, DrailClassifier):
-        nn_core.save_params(path, disc.denoiser.params, disc.denoiser.specs, _denoiser_trailer(KIND_DRAIL, disc))
-    else:
-        raise TypeError(f"unknown discriminator type {type(disc).__name__}")
+    nn_core.save_params(path, *disc.checkpoint())
+
+
+_BY_CODE = {cls.code: cls for cls in (GailDiscriminator, DiffailDiscriminator, DrailClassifier)}
 
 
 def load_discriminator(path: str):
     params, specs, trailer = nn_core.load_params(path)
     if not trailer:
         raise ValueError("not a discriminator checkpoint: missing kind tag")
-    kind, payload = trailer[0], trailer[1:]
-    if kind == KIND_GAIL:
-        if len(payload) != _GAIL_META.size:
-            raise ValueError("corrupt gail checkpoint trailer")
-        state_dim, action_dim, lr = _GAIL_META.unpack(payload)
-        return GailDiscriminator(params, specs, AdamState.fresh(len(params), lr), state_dim, action_dim)
-    if kind in (KIND_DIFFAIL, KIND_DRAIL):
-        if len(payload) != _DIFFUSION_META.size:
-            raise ValueError("corrupt diffusion discriminator trailer")
-        s_dim, a_dim, label_dim, te_dim, tm, T, s_offset, m, lr = _DIFFUSION_META.unpack(payload)
-        den = Denoiser(
-            params=params,
-            specs=specs,
-            state_dim=s_dim,
-            action_dim=a_dim,
-            label_dim=label_dim,
-            time_embed_dim=te_dim,
-            schedule=build_cosine_schedule(T, s_offset),
-            time_mode=_TIME_MODE_NAME[tm],
-        )
-        opt = AdamState.fresh(len(params), lr)
-        if kind == KIND_DIFFAIL:
-            return DiffailDiscriminator(den, opt, m)
-        return DrailClassifier(den, opt, m)
-    raise ValueError(f"unknown discriminator kind {kind}")
+    cls = _BY_CODE.get(trailer[0])
+    if cls is None:
+        raise ValueError(f"unknown discriminator kind {trailer[0]}")
+    return cls.from_checkpoint(params, specs, trailer[1:])

@@ -112,6 +112,15 @@ def check_chain(specs: tuple[LayerSpec, ...] | list[LayerSpec]) -> tuple[LayerSp
     return specs
 
 
+def mlp_specs(dims: tuple[int, ...], hidden_act: str) -> tuple[LayerSpec, ...]:
+    """Layers of widths dims[0] -> ... -> dims[-1]: ``hidden_act`` on every
+    hidden layer, identity on the output layer."""
+    return tuple(
+        LayerSpec(a, b, hidden_act if k < len(dims) - 2 else "identity")
+        for k, (a, b) in enumerate(zip(dims, dims[1:]))
+    )
+
+
 def layout_for(specs: tuple[LayerSpec, ...]) -> tuple[LayerView, ...]:
     views = []
     offset = 0

@@ -51,11 +51,7 @@ def build_policy(
     seed: int = 0,
     init_log_std: float = 0.0,
 ) -> GaussianPolicy:
-    dims = (state_dim, *hidden, action_dim)
-    specs = tuple(
-        LayerSpec(a, b, "tanh" if k < len(dims) - 2 else "identity")
-        for k, (a, b) in enumerate(zip(dims, dims[1:]))
-    )
+    specs = nn_core.mlp_specs((state_dim, *hidden, action_dim), "tanh")
     return GaussianPolicy(
         mean_params=nn_core.init_params(specs, seed),
         specs=specs,
@@ -152,11 +148,7 @@ class ValueFn:
 
 
 def build_value_fn(state_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0) -> ValueFn:
-    dims = (state_dim, *hidden, 1)
-    specs = tuple(
-        LayerSpec(a, b, "tanh" if k < len(dims) - 2 else "identity")
-        for k, (a, b) in enumerate(zip(dims, dims[1:]))
-    )
+    specs = nn_core.mlp_specs((state_dim, *hidden, 1), "tanh")
     return ValueFn(nn_core.init_params(specs, seed), specs)
 
 

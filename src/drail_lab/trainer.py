@@ -11,27 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import envs, nn_core
-from .discriminators import (
-    DiffailDiscriminator,
-    DrailClassifier,
-    GailDiscriminator,
-    build_diffail,
-    build_drail,
-    build_gail,
-    diffail_update,
-    discriminator_probs,
-    drail_update,
-    gail_update,
-    reward_for,
-)
+from .discriminators import build_diffail, build_drail, build_gail, discriminator_probs, reward_for
 from .envs import ExpertDataset, Grid, dataset_load, make_env, truncate_trajectories, truncate_transitions
 from .errors import NumericalAbort
 from .policy_opt import (
@@ -338,24 +324,15 @@ def label_rewards(buffer: RolloutBuffer, disc, rng) -> tuple[RolloutBuffer, dict
     """Fill buffer.rewards with the clamped method reward.
 
     Work is split into fixed-size chunks, each with a seed derived from
-    (root, chunk), so results do not depend on DRAIL_THREADS.
+    (root, chunk), so the draws of a chunk do not depend on the others.
     """
     n = len(buffer)
     root = int(rng.integers(0, 2**63))
-    n_chunks = math.ceil(n / _LABEL_CHUNK)
-
-    def work(c: int) -> tuple[np.ndarray, int]:
-        lo = c * _LABEL_CHUNK
-        hi = min(n, lo + _LABEL_CHUNK)
-        chunk_rng = np.random.default_rng(np.random.SeedSequence((root, c)))
-        return reward_for(disc, buffer.states[lo:hi], buffer.actions[lo:hi], chunk_rng)
-
-    threads = int(os.environ.get("DRAIL_THREADS", "1"))
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(n_chunks)))
-    else:
-        parts = [work(c) for c in range(n_chunks)]
+    parts = []
+    for lo in range(0, n, _LABEL_CHUNK):
+        rows = slice(lo, lo + _LABEL_CHUNK)
+        chunk_rng = np.random.default_rng(np.random.SeedSequence((root, lo // _LABEL_CHUNK)))
+        parts.append(reward_for(disc, buffer.states[rows], buffer.actions[rows], chunk_rng))
     raw = np.concatenate([p[0] for p in parts])
     saturated = sum(p[1] for p in parts)
     if not np.all(np.isfinite(raw)):
@@ -435,13 +412,7 @@ def reward_map(disc, grid: Grid, rng, samples_per_cell: int = 4) -> RewardGrid:
         raise ValueError("reward_map expects a 1-D state, 1-D action discriminator")
     probs = discriminator_probs(disc, grid.points, rng, samples_per_cell)
     values = probs.reshape(grid.s_axis.size, grid.a_axis.size)
-    if isinstance(disc, DrailClassifier):
-        method = "drail"
-    elif isinstance(disc, GailDiscriminator):
-        method = "gail"
-    else:
-        method = "diffail"
-    return RewardGrid(grid.s_axis, grid.a_axis, values, method)
+    return RewardGrid(grid.s_axis, grid.a_axis, values, disc.kind)
 
 
 def grid_to_csv(grid: RewardGrid) -> str:
@@ -506,42 +477,20 @@ def _load_expert(cfg: TrainConfig) -> ExpertDataset:
 def _build_discriminator(cfg: TrainConfig, state_dim: int, action_dim: int, seed: int):
     if cfg.method == "gail":
         return build_gail(state_dim, action_dim, cfg.disc_hidden, cfg.disc_lr, seed)
+    # drail and diffail differ only in the condition label
+    kw = dict(
+        hidden=cfg.disc_hidden,
+        time_embed_dim=cfg.time_embed_dim,
+        T=cfg.schedule_steps,
+        s_offset=cfg.s_offset,
+        lr=cfg.disc_lr,
+        sample_count=cfg.sample_count,
+        seed=seed,
+        time_mode=cfg.time_mode,
+    )
     if cfg.method == "drail":
-        return build_drail(
-            state_dim,
-            action_dim,
-            label_dim=cfg.label_dim,
-            hidden=cfg.disc_hidden,
-            time_embed_dim=cfg.time_embed_dim,
-            T=cfg.schedule_steps,
-            s_offset=cfg.s_offset,
-            lr=cfg.disc_lr,
-            sample_count=cfg.sample_count,
-            seed=seed,
-            time_mode=cfg.time_mode,
-        )
-    if cfg.method == "diffail":
-        return build_diffail(
-            state_dim,
-            action_dim,
-            hidden=cfg.disc_hidden,
-            time_embed_dim=cfg.time_embed_dim,
-            T=cfg.schedule_steps,
-            s_offset=cfg.s_offset,
-            lr=cfg.disc_lr,
-            sample_count=cfg.sample_count,
-            seed=seed,
-            time_mode=cfg.time_mode,
-        )
-    return None
-
-
-def _disc_update(disc, expert_batch, agent_batch, rng):
-    if isinstance(disc, DrailClassifier):
-        return drail_update(disc, expert_batch, agent_batch, rng)
-    if isinstance(disc, DiffailDiscriminator):
-        return diffail_update(disc, expert_batch, agent_batch, rng)
-    return gail_update(disc, expert_batch, agent_batch)
+        return build_drail(state_dim, action_dim, label_dim=cfg.label_dim, **kw)
+    return build_diffail(state_dim, action_dim, **kw)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -616,14 +565,12 @@ def train(cfg: TrainConfig) -> TrainResult:
                 e_idx = batch_rng.integers(0, len(dataset), size=idx.size)
                 expert_batch = (dataset.states[e_idx], dataset.actions[e_idx])
                 agent_batch = (buffer.states[idx], buffer.actions[idx])
-                disc, loss = _disc_update(disc, expert_batch, agent_batch, batch_rng)
+                disc, loss = disc.update(expert_batch, agent_batch, batch_rng)
                 disc_losses.append(loss)
                 counters["disc_minibatches"] += 1
 
         with _abort_scope(iteration, "reward labeling"):
-            label_disc = disc
-            if isinstance(disc, (DrailClassifier, DiffailDiscriminator)):
-                label_disc = replace(disc, sample_count=cfg.reward_sample_count)
+            label_disc = disc.with_sample_count(cfg.reward_sample_count)
             buffer, label_stats = label_rewards(buffer, label_disc, label_rng)
         counters["labelings"] += 1
 

@@ -10,7 +10,7 @@ import pytest
 
 import drail_lab
 from drail_lab import cli
-from drail_lab.discriminators import build_drail, save_discriminator
+from drail_lab.discriminators import build_diffail, build_drail, build_gail, save_discriminator
 from drail_lab.envs import dataset_load
 from drail_lab.policy_opt import build_policy, save_policy
 
@@ -314,11 +314,52 @@ def test_inspect_checkpoints(tmp_path, capsys):
     assert run_cli("inspect", pol) == 0
     assert "kind policy" in capsys.readouterr().out
 
-    drl = str(tmp_path / "d.drlp")
-    save_discriminator(drl, build_drail(1, 1, hidden=(8, 8), T=8, seed=0))
-    assert run_cli("inspect", drl) == 0
-    out = capsys.readouterr().out
-    assert "kind drail" in out and "T=8" in out
+    for name, disc, expected in (
+        ("drail", build_drail(1, 1, hidden=(8, 8), T=8, seed=0), ("kind drail (", "T=8")),
+        ("gail", build_gail(2, 1, hidden=(8,), seed=0), ("kind gail (state_dim=2, action_dim=1)",)),
+        ("diffail", build_diffail(1, 2, hidden=(8,), T=12, sample_count=3, seed=0),
+         ("kind diffail (state_dim=1, action_dim=2, label_dim=0, T=12, sample_count=3)",)),
+    ):
+        path = str(tmp_path / f"{name}.drlp")
+        save_discriminator(path, disc)
+        assert run_cli("inspect", path) == 0
+        out = capsys.readouterr().out
+        assert all(text in out for text in expected), out
+
+
+def _small_discriminators():
+    return {
+        "drail": build_drail(1, 1, label_dim=2, hidden=(4,), T=8, sample_count=2, seed=0),
+        "gail": build_gail(1, 1, hidden=(4,), seed=0),
+        "diffail": build_diffail(1, 1, hidden=(4,), T=8, sample_count=2, seed=0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["drail", "diffail"])
+def test_unknown_time_mode_code_exits_2_naming_the_field(tmp_path, capsys, kind):
+    path = tmp_path / "d.drlp"
+    save_discriminator(str(path), _small_discriminators()[kind])
+    data = bytearray(path.read_bytes())
+    # the time-mode byte: 16 bytes (four u32 dims) into the 41-byte
+    # metadata that ends the file
+    data[-41 + 16] = 7
+    path.write_bytes(bytes(data))
+    assert run_cli("reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")) == 2
+    assert "time_mode" in capsys.readouterr().err
+    assert run_cli("inspect", str(path)) in (0, 2)
+
+
+def test_inspect_truncated_discriminator_checkpoints_exit_0_or_2(tmp_path):
+    # every prefix of each kind's file: a clean report or a usage error,
+    # never an exception out of main
+    for kind, disc in _small_discriminators().items():
+        full = tmp_path / f"{kind}.drlp"
+        save_discriminator(str(full), disc)
+        data = full.read_bytes()
+        cut = tmp_path / f"{kind}-cut.drlp"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            assert run_cli("inspect", str(cut)) in (0, 2), (kind, n)
 
 
 def test_inspect_unknown_format(tmp_path, capsys):

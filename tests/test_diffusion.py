@@ -131,6 +131,28 @@ def test_time_embedding_rejects_odd_dim():
         time_embedding(1, 10, 7)
 
 
+@pytest.mark.parametrize("T, dim", [(1000, 16), (10, 16), (8, 4), (100, 2), (1000, 8)])
+def test_time_features_table_equals_per_row_features_bitwise(T, dim):
+    model = build_denoiser(1, 1, 0, hidden=(4,), time_embed_dim=dim, T=T)
+    # batches of other sizes and orders take other SIMD paths through sin/cos
+    rng = np.random.default_rng(T + dim)
+    for n in (1, 3, 17, 39, 511, 4096):
+        draw = rng.integers(0, T + 1, size=n)
+        got = model.time_features(draw)
+        assert got.tobytes() == diffusion._time_embedding_batch(draw.astype(np.float64), T, dim).tobytes()
+    for t in range(T + 1):
+        one = diffusion._time_embedding_batch(np.array([float(t)]), T, dim)
+        assert model.time_features(np.array([t])).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("time_mode", ["sinusoidal", "scalar"])
+def test_time_features_reject_timesteps_outside_the_schedule(time_mode):
+    model = build_denoiser(1, 1, 0, hidden=(4,), T=10, time_mode=time_mode)
+    for bad in ([-1], [11], [3, -1, 4], [0, 11]):
+        with pytest.raises(ValueError, match="outside"):
+            model.time_features(np.array(bad))
+
+
 # --- denoiser -------------------------------------------------------------
 
 

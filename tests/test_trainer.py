@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -264,22 +265,27 @@ def test_label_rewards_clamps_and_counts():
     assert stats["clamped"] == 50
 
 
-def test_label_rewards_thread_count_invariant(monkeypatch):
-    clf = build_drail(1, 1, hidden=(8, 8), T=10, seed=1)
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DRAIL_THREADS", threads)
-        buf = _random_buffer(1100, 1, 1, seed=2)
-        buf, _ = label_rewards(buf, clf, np.random.default_rng(9))
-        results.append(buf.rewards.copy())
-    assert np.array_equal(results[0], results[1])
-
-
 def test_label_rewards_bounded():
     clf = build_drail(2, 1, hidden=(8, 8), T=10, seed=3)
     buf = _random_buffer(64, 2, 1, seed=4)
     buf, _ = label_rewards(buf, clf, np.random.default_rng(5))
     assert np.all(np.abs(buf.rewards) <= 20.0)
+
+
+def test_label_rewards_draws_each_chunk_from_its_own_seed():
+    # 1100 rows: two full 512-row chunks and a partial last one
+    clf = build_drail(2, 1, hidden=(8, 8), T=10, seed=3)
+    buf = _random_buffer(1100, 2, 1, seed=6)
+    rng = np.random.default_rng(7)
+    root = int(copy.deepcopy(rng).integers(0, 2**63))
+    buf, _ = label_rewards(buf, clf, rng)
+    expected = [
+        reward_for(clf, buf.states[lo : lo + 512], buf.actions[lo : lo + 512],
+                   np.random.default_rng(np.random.SeedSequence((root, c))))[0]
+        for c, lo in enumerate(range(0, 1100, 512))
+    ]
+    assert [len(e) for e in expected] == [512, 512, 76]
+    assert np.array_equal(buf.rewards, np.clip(np.concatenate(expected), -20.0, 20.0))
 
 
 def test_trained_classifier_prefers_expert_pairs():
