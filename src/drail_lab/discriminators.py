@@ -44,6 +44,11 @@ _TIME_MODE_CODE = {"sinusoidal": 0, "scalar": 1}
 _TIME_MODE_NAME = {v: k for k, v in _TIME_MODE_CODE.items()}
 _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
+# the largest schedule length and draw count a checkpoint may declare: the
+# schedule and its time-feature table grow with T, and a 101x121 reward
+# map of a 128-draw checkpoint already needs about 0.8 GiB
+MAX_SCHEDULE_STEPS = 100_000
+MAX_SAMPLE_COUNT = 128
 
 
 def sigmoid(x):
@@ -67,6 +72,26 @@ def _check_batch(batch: tuple[np.ndarray, np.ndarray], state_dim: int, action_di
     if states.shape != (states.shape[0], state_dim) or actions.shape != (states.shape[0], action_dim):
         raise ValueError(f"{who} batch dims do not match the discriminator")
     return states, actions
+
+
+def _loss_batch(disc, expert_batch, agent_batch) -> tuple[np.ndarray, np.ndarray, int]:
+    """The checked expert pairs, then the agent pairs, as one batch;
+    returns (states, actions, number of expert rows)."""
+    se, ae = _check_batch(expert_batch, disc.state_dim, disc.action_dim, "expert")
+    sa, aa = _check_batch(agent_batch, disc.state_dim, disc.action_dim, "agent")
+    return np.concatenate([se, sa]), np.concatenate([ae, aa]), se.shape[0]
+
+
+def _logit_xent(z: np.ndarray, n_e: int) -> tuple[float, np.ndarray]:
+    """Binary cross-entropy of logits whose first n_e rows are expert pairs:
+    mean softplus(-z) on expert rows + mean softplus(z) on agent rows.
+    Returns (loss, d loss / dz)."""
+    n_a = z.size - n_e
+    loss = float(np.mean(softplus(-z[:n_e])) + np.mean(softplus(z[n_e:])))
+    dz = np.empty(n_e + n_a)
+    dz[:n_e] = -sigmoid(-z[:n_e]) / n_e
+    dz[n_e:] = sigmoid(z[n_e:]) / n_a
+    return loss, dz
 
 
 # --- the denoiser-based kinds ---------------------------------------------
@@ -98,6 +123,29 @@ class _DenoisingDiscriminator:
     def with_sample_count(self, sample_count: int):
         return replace(self, sample_count=sample_count)
 
+    def _losses(self, states: np.ndarray, actions: np.ndarray, rng, hs: list | None = None):
+        """Mean denoiser loss of each pair under each of the kind's label
+        branches, sample_count draws per pair, each draw shared by the branches.
+
+        Returns (losses of shape (branches, n), (ts, eps), eps_rows, preds):
+        the draw, then the noise and prediction rows of the batched_losses
+        call, which run over the branches, then the pairs, then the draws.
+        Given a list ``hs``, the denoiser's activations are collected there.
+        """
+        n, m = states.shape[0], self.sample_count
+        den = self.denoiser
+        x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
+        ts = rng.integers(1, den.schedule.T + 1, size=n * m)
+        eps = rng.standard_normal((n * m, den.data_dim))
+        k = len(self.branch_labels)
+        eps_rows = np.concatenate([eps] * k)
+        labels = np.concatenate([np.full((n * m, den.label_dim), v) for v in self.branch_labels])
+        losses, _, preds = diffusion.batched_losses(den, np.concatenate([x0_rows] * k), np.concatenate([ts] * k),
+                                                    eps_rows, labels, hs)
+        if not np.all(np.isfinite(losses)):
+            raise ValueError("non-finite denoiser output")
+        return losses.reshape(k, n, m).mean(axis=2), (ts, eps), eps_rows, preds
+
     def describe(self) -> str:
         return (f"state_dim={self.state_dim}, action_dim={self.action_dim}, label_dim={self.denoiser.label_dim}, "
                 f"T={self.denoiser.schedule.T}, sample_count={self.sample_count}")
@@ -124,6 +172,9 @@ class _DenoisingDiscriminator:
         s_dim, a_dim, label_dim, te_dim, tm, T, s_offset, m, lr = _DIFFUSION_META.unpack(meta)
         if tm not in _TIME_MODE_NAME:
             raise ValueError(f"corrupt {cls.kind} checkpoint trailer: unknown time_mode code {tm}")
+        for name, value, limit in (("T", T, MAX_SCHEDULE_STEPS), ("sample_count", m, MAX_SAMPLE_COUNT)):
+            if value > limit:
+                raise ValueError(f"corrupt {cls.kind} checkpoint trailer: {name}={value} exceeds {limit}")
         den = Denoiser(
             params=params,
             specs=specs,
@@ -147,6 +198,8 @@ class DrailClassifier(_DenoisingDiscriminator):
 
     kind = "drail"
     code = 2
+    # the "real" and the "fake" condition label
+    branch_labels = (1.0, 0.0)
 
     def update(self, expert_batch, agent_batch, rng):
         return drail_update(self, expert_batch, agent_batch, rng)
@@ -175,56 +228,18 @@ def build_drail(
     return DrailClassifier(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 
-def _draw(rng: np.random.Generator, n_rows: int, d: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    ts = rng.integers(1, T + 1, size=n_rows)
-    eps = rng.standard_normal((n_rows, d))
-    return ts, eps
-
-
-def _branch_losses(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng, hs: list | None = None):
-    """Per-sample real/fake losses under shared draws.
-
-    Returns (loss_real, loss_fake) of shape (n,), plus the flat row pieces
-    needed for gradients: (x0_rows, ts, eps, inputs, preds) where rows run
-    over [all real rows, then all fake rows], each sample repeated
-    sample_count times. Given a list ``hs``, the denoiser's activations
-    are collected there.
-    """
-    n = states.shape[0]
-    m = clf.sample_count
-    den = clf.denoiser
-    x0 = np.concatenate([states, actions], axis=1)
-    x0_rows = np.repeat(x0, m, axis=0)
-    ts, eps = _draw(rng, n * m, den.data_dim, den.schedule.T)
-    ones = np.ones((n * m, den.label_dim))
-    zeros = np.zeros((n * m, den.label_dim))
-    losses, inputs, preds = diffusion.batched_losses(
-        den,
-        np.concatenate([x0_rows, x0_rows]),
-        np.concatenate([ts, ts]),
-        np.concatenate([eps, eps]),
-        np.concatenate([ones, zeros]),
-        hs,
-    )
-    if not np.all(np.isfinite(losses)):
-        raise ValueError("non-finite denoiser output")
-    loss_real = losses[: n * m].reshape(n, m).mean(axis=1)
-    loss_fake = losses[n * m :].reshape(n, m).mean(axis=1)
-    return loss_real, loss_fake, x0_rows, ts, eps, inputs, preds
-
-
 def drail_logit_batch(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
     """Loss gaps L_fake - L_real for a batch, one shared draw set per pair."""
     states, actions = _check_batch((states, actions), clf.state_dim, clf.action_dim, "input")
-    loss_real, loss_fake, *_ = _branch_losses(clf, states, actions, rng)
+    (loss_real, loss_fake), *_ = clf._losses(states, actions, rng)
     return loss_fake - loss_real
 
 
 def drail_logit(clf: DrailClassifier, s: np.ndarray, a: np.ndarray, rng):
     """Single-pair logit; returns (delta, (ts, eps)) so the draw can be replayed."""
     states, actions = _check_batch((s, a), clf.state_dim, clf.action_dim, "input")
-    loss_real, loss_fake, _, ts, eps, _, _ = _branch_losses(clf, states, actions, rng)
-    return float(loss_fake[0] - loss_real[0]), (ts, eps)
+    (loss_real, loss_fake), draw, *_ = clf._losses(states, actions, rng)
+    return float(loss_fake[0] - loss_real[0]), draw
 
 
 def drail_prob(delta: float) -> float:
@@ -251,25 +266,16 @@ def drail_disc_loss(
     """Binary cross-entropy over the two batches and its exact parameter
     gradient: mean softplus(-delta) on expert pairs + mean softplus(delta)
     on agent pairs."""
-    se, ae = _check_batch(expert_batch, clf.state_dim, clf.action_dim, "expert")
-    sa, aa = _check_batch(agent_batch, clf.state_dim, clf.action_dim, "agent")
-    n_e, n_a = se.shape[0], sa.shape[0]
-    states = np.concatenate([se, sa])
-    actions = np.concatenate([ae, aa])
+    states, actions, n_e = _loss_batch(clf, expert_batch, agent_batch)
     hs: list[np.ndarray] = []
-    loss_real, loss_fake, _, _, eps, _, preds = _branch_losses(clf, states, actions, rng, hs)
-    delta = loss_fake - loss_real
-    loss = float(np.mean(softplus(-delta[:n_e])) + np.mean(softplus(delta[n_e:])))
-
+    (loss_real, loss_fake), _, eps_rows, preds = clf._losses(states, actions, rng, hs)
+    loss, dd = _logit_xent(loss_fake - loss_real, n_e)
     # d loss / d delta_i, spread over the per-draw rows of each branch
-    # (each of the M draws contributes 1/M of the sample's delta)
-    dd = np.empty(n_e + n_a)
-    dd[:n_e] = -sigmoid(-delta[:n_e]) / n_e
-    dd[n_e:] = sigmoid(delta[n_e:]) / n_a
+    # (each of the M draws contributes 1/M of the sample's delta); real
+    # rows carry -1, fake rows +1
     m = clf.sample_count
     per_row = np.repeat(dd / m, m)
-    coeffs = np.concatenate([-per_row, per_row])  # real rows carry -1, fake rows +1
-    upstream = diffusion.loss_grad_upstream(preds, np.concatenate([eps, eps]), coeffs)
+    upstream = diffusion.loss_grad_upstream(preds, eps_rows, np.concatenate([-per_row, per_row]))
     grad = nn_core.backward_activations(clf.denoiser.params, clf.denoiser.specs, hs, upstream)
     return loss, grad
 
@@ -370,16 +376,10 @@ def gail_disc_loss(
     expert_batch: tuple[np.ndarray, np.ndarray],
     agent_batch: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, np.ndarray]:
-    se, ae = _check_batch(expert_batch, disc.state_dim, disc.action_dim, "expert")
-    sa, aa = _check_batch(agent_batch, disc.state_dim, disc.action_dim, "agent")
-    n_e, n_a = se.shape[0], sa.shape[0]
-    rows = np.concatenate([np.concatenate([se, ae], axis=1), np.concatenate([sa, aa], axis=1)])
+    states, actions, n_e = _loss_batch(disc, expert_batch, agent_batch)
     hs: list[np.ndarray] = []
-    z = nn_core.forward_batch(disc.params, disc.specs, rows, hs)[:, 0]
-    loss = float(np.mean(softplus(-z[:n_e])) + np.mean(softplus(z[n_e:])))
-    dz = np.empty(n_e + n_a)
-    dz[:n_e] = -sigmoid(-z[:n_e]) / n_e
-    dz[n_e:] = sigmoid(z[n_e:]) / n_a
+    z = nn_core.forward_batch(disc.params, disc.specs, np.concatenate([states, actions], axis=1), hs)[:, 0]
+    loss, dz = _logit_xent(z, n_e)
     grad = nn_core.backward_activations(disc.params, disc.specs, hs, dz[:, None])
     return loss, grad
 
@@ -403,6 +403,8 @@ class DiffailDiscriminator(_DenoisingDiscriminator):
 
     kind = "diffail"
     code = 1
+    # one unconditional branch: its label has no columns
+    branch_labels = (0.0,)
 
     def __post_init__(self) -> None:
         if self.denoiser.label_dim != 0:
@@ -436,22 +438,9 @@ def build_diffail(
     return DiffailDiscriminator(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 
-def _diffail_losses(disc: DiffailDiscriminator, states: np.ndarray, actions: np.ndarray, rng,
-                    hs: list | None = None):
-    n = states.shape[0]
-    m = disc.sample_count
-    den = disc.denoiser
-    x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
-    ts, eps = _draw(rng, n * m, den.data_dim, den.schedule.T)
-    losses, inputs, preds = diffusion.batched_losses(den, x0_rows, ts, eps, np.zeros((n * m, 0)), hs)
-    if not np.all(np.isfinite(losses)):
-        raise ValueError("non-finite denoiser output")
-    return losses.reshape(n, m).mean(axis=1), ts, eps, inputs, preds
-
-
 def diffail_loss_batch(disc: DiffailDiscriminator, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
     states, actions = _check_batch((states, actions), disc.state_dim, disc.action_dim, "input")
-    return _diffail_losses(disc, states, actions, rng)[0]
+    return disc._losses(states, actions, rng)[0][0]
 
 
 def diffail_prob(disc: DiffailDiscriminator, s: np.ndarray, a: np.ndarray, rng) -> tuple[float, float]:
@@ -487,11 +476,10 @@ def diffail_disc_loss(
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy on D = exp(-L): expert term is L itself, agent term is
     -log(1 - exp(-L)) with the loss floor applied."""
-    se, ae = _check_batch(expert_batch, disc.state_dim, disc.action_dim, "expert")
-    sa, aa = _check_batch(agent_batch, disc.state_dim, disc.action_dim, "agent")
-    n_e, n_a = se.shape[0], sa.shape[0]
+    states, actions, n_e = _loss_batch(disc, expert_batch, agent_batch)
+    n_a = states.shape[0] - n_e
     hs: list[np.ndarray] = []
-    L, _, eps, _, preds = _diffail_losses(disc, np.concatenate([se, sa]), np.concatenate([ae, aa]), rng, hs)
+    (L,), _, eps_rows, preds = disc._losses(states, actions, rng, hs)
     La = np.maximum(L[n_e:], DIFFAIL_LOSS_FLOOR)
     loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
     dL = np.empty(n_e + n_a)
@@ -499,7 +487,7 @@ def diffail_disc_loss(
     # d/dL of -log(1 - exp(-L)) is -1/(exp(L) - 1)
     dL[n_e:] = -1.0 / np.expm1(La) / n_a
     coeffs = np.repeat(dL / disc.sample_count, disc.sample_count)
-    upstream = diffusion.loss_grad_upstream(preds, eps, coeffs)
+    upstream = diffusion.loss_grad_upstream(preds, eps_rows, coeffs)
     grad = nn_core.backward_activations(disc.denoiser.params, disc.denoiser.specs, hs, upstream)
     return loss, grad
 

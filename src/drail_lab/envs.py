@@ -194,10 +194,6 @@ class SineWorldSpec:
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
 
-    @property
-    def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.support))
-
     def contains(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
         inside = np.zeros(s.shape, dtype=bool)
@@ -283,53 +279,49 @@ def observe(state: PointReachState) -> np.ndarray:
 
 def point_reset(noise_scale: float, rng: np.random.Generator) -> PointReachState:
     """Start near (-0.7, -0.7), goal near (0.7, 0.7); noise_scale multiplies
-    the spread of both draws (zero gives the midpoints exactly)."""
-    if noise_scale < 0.0:
-        raise ValueError("noise_scale must be >= 0")
-    start = np.array(_START_MID) + noise_scale * rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=2)
-    goal = np.array(_GOAL_MID) + noise_scale * rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=2)
-    return PointReachState(start, np.zeros(2), goal, 0)
+    the spread of both draws (zero gives the midpoints exactly). Draws from
+    rng what a 1-wide PointReach reset draws."""
+    obs = PointReach(seed=rng, noise_scale=noise_scale).reset()
+    return PointReachState(obs[0:2], obs[2:4], obs[4:6], 0)
 
 
-def _checked_action(action) -> tuple[float, float]:
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != (2,):
-        raise ValueError("action must be a 2-vector")
-    ax, ay = a.tolist()
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise ValueError("action must be finite")
-    return ax, ay
+# rows whose distance to the goal lies this close to the success radius are
+# measured again with a dot product
+_RADIUS_BAND = 1e-12
 
 
-def _point_dynamics(
-    obs: tuple[float, ...], steps: int, ax: float, ay: float, horizon: int, wall: bool
-) -> tuple[tuple[float, ...], int, bool, bool]:
-    """One step of the dynamics on the flat observation (px, py, vx, vy, gx, gy)
-    as Python floats: clamped double integrator, wall slab, success radius.
-    Returns (obs', steps', done, success)."""
-    px, py, vx, vy, gx, gy = obs
-    ax = min(max(ax, -1.0), 1.0)
-    ay = min(max(ay, -1.0), 1.0)
-    nvx = min(max(vx + ACCEL_GAIN * ax, -MAX_SPEED), MAX_SPEED)
-    nvy = min(max(vy + ACCEL_GAIN * ay, -MAX_SPEED), MAX_SPEED)
-    npx = min(max(px + nvx, -ARENA_LIMIT), ARENA_LIMIT)
-    npy = min(max(py + nvy, -ARENA_LIMIT), ARENA_LIMIT)
-    if wall and npy < _WALL_TOP:
-        lo, hi = sorted((px, npx))
-        if lo < _WALL_HALF_WIDTH and hi > -_WALL_HALF_WIDTH:
-            # the step enters or crosses the slab: stop at the near face
-            # (segment test, not endpoint test, so fast steps cannot tunnel)
-            npx = px
-            if abs(npx) >= _WALL_HALF_WIDTH:
-                npx = math.copysign(_WALL_HALF_WIDTH, npx)
-            nvx = 0.0
-    steps += 1
-    # np.linalg.norm's own sum: a dot product, which may fuse the multiply-add
-    # and so differs from sqrt(dx*dx + dy*dy) in the last bit
-    d = np.array((npx - gx, npy - gy))
-    success = math.sqrt(d.dot(d)) < SUCCESS_RADIUS
-    done = success or steps >= horizon
-    return (npx, npy, nvx, nvy, gx, gy), steps, done, success
+def _point_step_rows(
+    obs: np.ndarray, steps: np.ndarray, actions: np.ndarray, horizon: int, wall: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the dynamics on rows of flat observations
+    [position | velocity | goal] and their step counts: clamped double
+    integrator, wall slab, success radius. Returns (obs', steps', done, success)."""
+    position, goal = obs[:, 0:2], obs[:, 4:6]
+    velocity = np.clip(obs[:, 2:4] + ACCEL_GAIN * np.clip(actions, -1.0, 1.0), -MAX_SPEED, MAX_SPEED)
+    new_position = np.clip(position + velocity, -ARENA_LIMIT, ARENA_LIMIT)
+    if wall:
+        # the step enters or crosses the slab (segment test, not endpoint
+        # test, so fast steps cannot tunnel)
+        px, npx = position[:, 0], new_position[:, 0]
+        hit = ((new_position[:, 1] < _WALL_TOP) & (np.minimum(px, npx) < _WALL_HALF_WIDTH)
+               & (np.maximum(px, npx) > -_WALL_HALF_WIDTH))
+        if hit.any():
+            # stop at the near face of the slab
+            x = px[hit]
+            new_position[hit, 0] = np.where(np.abs(x) >= _WALL_HALF_WIDTH,
+                                            np.copysign(_WALL_HALF_WIDTH, x), x)
+            velocity[hit, 0] = 0.0
+    steps = steps + 1
+    d = new_position - goal
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    # near the radius the last bit decides: take np.linalg.norm's own sum, a
+    # dot product, which may fuse the multiply-add and so differs from
+    # sqrt(dx*dx + dy*dy) in the last bit
+    for i in np.flatnonzero(np.abs(dist - SUCCESS_RADIUS) <= _RADIUS_BAND):
+        dist[i] = math.sqrt(d[i].dot(d[i]))
+    success = dist < SUCCESS_RADIUS
+    new_obs = np.concatenate([new_position, velocity, goal], axis=1)
+    return new_obs, steps, success | (steps >= horizon), success
 
 
 def point_step(
@@ -340,22 +332,27 @@ def point_step(
 ) -> tuple[PointReachState, float, bool, bool]:
     """Clamped double-integrator step; the env reward is a placeholder 0
     (learned rewards are filled in later). Returns (state', 0.0, done, success)."""
-    ax, ay = _checked_action(action)
-    obs, steps, done, success = _point_dynamics(tuple(observe(state).tolist()), state.steps, ax, ay, horizon, wall)
-    next_state = PointReachState(np.array(obs[0:2]), np.array(obs[2:4]), state.goal, steps)
-    return next_state, 0.0, done, success
-
-
-def scripted_expert(state: PointReachState) -> np.ndarray:
-    """PD controller toward the goal, clamped to the action box."""
-    raw = PD_KP * (state.goal - state.position) - PD_KD * state.velocity
-    return np.clip(raw, -1.0, 1.0)
+    a = np.asarray(action, dtype=np.float64)
+    if a.shape != (2,):
+        raise ValueError("action must be a 2-vector")
+    if not np.isfinite(a).all():
+        raise ValueError("action must be finite")
+    obs, steps, done, success = _point_step_rows(observe(state)[None], np.array([state.steps]), a[None],
+                                                 horizon, wall)
+    next_state = PointReachState(obs[0, 0:2], obs[0, 2:4], state.goal, int(steps[0]))
+    return next_state, 0.0, bool(done[0]), bool(success[0])
 
 
 def scripted_actor(obs: np.ndarray) -> np.ndarray:
-    """Observation-vector adapter around scripted_expert."""
-    raw = PD_KP * (obs[4:6] - obs[0:2]) - PD_KD * obs[2:4]
+    """PD controller toward the goal on observation rows
+    [position | velocity | goal], clamped to the action box."""
+    raw = PD_KP * (obs[..., 4:6] - obs[..., 0:2]) - PD_KD * obs[..., 2:4]
     return np.clip(raw, -1.0, 1.0)
+
+
+def scripted_expert(state: PointReachState) -> np.ndarray:
+    """scripted_actor on the state's observation."""
+    return scripted_actor(observe(state))
 
 
 def gen_expert_dataset(
@@ -370,53 +367,55 @@ def gen_expert_dataset(
     Failed episodes are discarded. A success rate under 50% (or running
     out of the 10n attempt budget) aborts: the controller is misconfigured
     for these dynamics.
+
+    Each round runs as many attempts as trajectories are missing (within
+    the budget) as lockstep PointReach rows that reset from rng in attempt
+    order, so the episodes, the attempt count and rng's draws are those of
+    one attempt after another.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
-    # scripted_expert and point_step on the observation as Python floats
-    states: list[tuple[float, ...]] = []
-    actions: list[tuple[float, float]] = []
-    dones: list[bool] = []
+    kept = []
     successes = 0
     attempts = 0
     max_attempts = 10 * n_trajectories
     while successes < n_trajectories and attempts < max_attempts:
-        attempts += 1
-        obs = tuple(observe(point_reset(noise_scale, rng)).tolist())
-        steps = 0
-        ep_states, ep_actions = [], []
-        done = False
-        success = False
-        while not done:
-            px, py, vx, vy, gx, gy = obs
-            action = (min(max(PD_KP * (gx - px) - PD_KD * vx, -1.0), 1.0),
-                      min(max(PD_KP * (gy - py) - PD_KD * vy, -1.0), 1.0))
-            ep_states.append(obs)
-            ep_actions.append(action)
-            obs, steps, done, success = _point_dynamics(obs, steps, *action, horizon, wall)
-        if success:
-            successes += 1
-            states.extend(ep_states)
-            actions.extend(ep_actions)
-            dones.extend([False] * (len(ep_states) - 1) + [True])
+        k = min(n_trajectories - successes, max_attempts - attempts)
+        attempts += k
+        env = PointReach(seed=rng, noise_scale=noise_scale, horizon=horizon, wall=wall, n_envs=k)
+        obs = env.reset_rows(np.arange(k))
+        rows = np.arange(k)  # the attempt each env row runs
+        frames = []
+        success = np.zeros(k, dtype=bool)
+        while rows.size:
+            action = scripted_actor(obs)
+            frames.append((rows, obs, action))
+            obs, done, success[rows] = env.step_rows(action)
+            left = np.flatnonzero(~done)
+            env.keep_rows(left)
+            rows, obs = rows[left], obs[left]
+        # the successful attempts in attempt order, each episode in step order
+        ids, states, actions = (np.concatenate(parts) for parts in zip(*frames))
+        order = np.argsort(ids, kind="stable")
+        order = order[success[ids[order]]]
+        dones = np.diff(ids[order], append=-1) != 0
+        kept.append((states[order], actions[order], dones))
+        successes += int(success.sum())
     if successes < n_trajectories or 2 * successes < attempts:
         raise RuntimeError(
             f"scripted expert success rate too low: {successes}/{attempts} attempts succeeded"
         )
-    return ExpertDataset(np.array(states), np.array(actions), np.array(dones))
+    return ExpertDataset(*(np.concatenate(parts) for parts in zip(*kept)))
 
 
 # --- env classes -------------------------------------------------------------
 #
 # Each env class is a vector env: n_envs copies of the task stepped in
 # lockstep, their state kept as arrays with one row per copy, and one reset
-# stream that draws the start states of the rows it resets in row order.
+# stream (from a seed, or a caller's Generator drawn from directly) that
+# draws the start states of the rows it resets in row order.
 # The 1-wide case keeps the single-env protocol reset() -> obs and
 # step(action) -> (obs, 0.0, done, success).
-
-# rows whose distance to the goal lies this close to the success radius are
-# measured again the way point_step measures them
-_RADIUS_BAND = 1e-12
 
 
 class _VectorEnv:
@@ -427,7 +426,7 @@ class _VectorEnv:
     state_dim = 0
     action_dim = 0
 
-    def __init__(self, seed: int, n_envs: int) -> None:
+    def __init__(self, seed: int | np.random.Generator, n_envs: int) -> None:
         if n_envs < 1:
             raise ValueError("n_envs must be >= 1")
         self.n_envs = int(n_envs)
@@ -531,7 +530,7 @@ class PointReach(_VectorEnv):
 
     def __init__(
         self,
-        seed: int = 0,
+        seed: int | np.random.Generator = 0,
         noise_scale: float = 1.0,
         horizon: int = DEFAULT_HORIZON,
         wall: bool = False,
@@ -569,7 +568,7 @@ class PointReach(_VectorEnv):
         return self._step_single(action)
 
     def _start(self, rows: np.ndarray) -> None:
-        # point_reset's draws, start offset then goal offset, row after row
+        # start offset then goal offset, row after row
         u = self._rng.uniform(-_RESET_SPREAD, _RESET_SPREAD, size=(rows.size, 2, 2))
         self._obs[rows, 0:2] = np.array(_START_MID) + self.noise_scale * u[:, 0]
         self._obs[rows, 2:4] = 0.0
@@ -580,30 +579,9 @@ class PointReach(_VectorEnv):
         return self._obs.copy()
 
     def _advance(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_point_dynamics on every row at once."""
-        obs = self._obs
-        position, goal = obs[:, 0:2], obs[:, 4:6]
-        velocity = np.clip(obs[:, 2:4] + ACCEL_GAIN * np.clip(actions, -1.0, 1.0), -MAX_SPEED, MAX_SPEED)
-        new_position = np.clip(position + velocity, -ARENA_LIMIT, ARENA_LIMIT)
-        if self.wall:
-            px, npx = position[:, 0], new_position[:, 0]
-            hit = ((new_position[:, 1] < _WALL_TOP) & (np.minimum(px, npx) < _WALL_HALF_WIDTH)
-                   & (np.maximum(px, npx) > -_WALL_HALF_WIDTH))
-            if hit.any():
-                # stop at the near face of the slab
-                x = px[hit]
-                new_position[hit, 0] = np.where(np.abs(x) >= _WALL_HALF_WIDTH,
-                                                np.copysign(_WALL_HALF_WIDTH, x), x)
-                velocity[hit, 0] = 0.0
-        self._steps = self._steps + 1
-        d = new_position - goal
-        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        # near the radius the last bit decides: take point_step's dot product
-        for i in np.flatnonzero(np.abs(dist - SUCCESS_RADIUS) <= _RADIUS_BAND):
-            dist[i] = math.sqrt(d[i].dot(d[i]))
-        success = dist < SUCCESS_RADIUS
-        self._obs = np.concatenate([new_position, velocity, goal], axis=1)
-        return success | (self._steps >= self.horizon), success
+        self._obs, self._steps, done, success = _point_step_rows(self._obs, self._steps, actions,
+                                                                 self.horizon, self.wall)
+        return done, success
 
 
 def make_env(

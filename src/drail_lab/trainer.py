@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import envs, nn_core
-from .discriminators import build_diffail, build_drail, build_gail, discriminator_probs, reward_for
+from .discriminators import (MAX_SAMPLE_COUNT, MAX_SCHEDULE_STEPS, build_diffail, build_drail, build_gail,
+                             discriminator_probs, reward_for)
 from .envs import ExpertDataset, Grid, dataset_load, make_env, truncate_trajectories, truncate_transitions
 from .errors import NumericalAbort
 from .policy_opt import (
@@ -110,6 +111,10 @@ class TrainConfig:
                      "eval_interval", "eval_episodes", "bc_epochs", "bc_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # limits of the discriminator checkpoint, so a run never writes one it cannot load
+        for name, limit in (("schedule_steps", MAX_SCHEDULE_STEPS), ("sample_count", MAX_SAMPLE_COUNT)):
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} must be <= {limit}")
         if not self.noise_scale >= 0.0:
             raise ValueError("noise_scale must be >= 0")
         for name in ("disc_hidden", "policy_hidden", "value_hidden"):

@@ -117,3 +117,33 @@ def point_step_reference(position, velocity, goal, action, wall: bool):
             velocity = np.array([0.0, velocity[1]])
     success = bool(np.linalg.norm(new_position - goal) < 0.1)
     return new_position, velocity, success
+
+
+def expert_dataset_reference(n: int, rng: np.random.Generator, noise_scale: float, horizon: int, wall: bool):
+    """The scripted PD expert rolled one episode after another on
+    point_step_reference until n episodes reach the goal or 10n attempts
+    are spent; failed episodes are dropped. Returns (states, actions,
+    dones, successes, attempts) as float and bool arrays plus two counts."""
+    states, actions, dones = [], [], []
+    successes = 0
+    attempts = 0
+    while successes < n and attempts < 10 * n:
+        attempts += 1
+        position = np.array([-0.7, -0.7]) + noise_scale * rng.uniform(-0.2, 0.2, size=2)
+        goal = np.array([0.7, 0.7]) + noise_scale * rng.uniform(-0.2, 0.2, size=2)
+        velocity = np.zeros(2)
+        episode = []
+        steps = 0
+        success = False
+        while not success and steps < horizon:
+            action = np.clip(4.0 * (goal - position) - 6.0 * velocity, -1.0, 1.0)
+            episode.append((np.concatenate([position, velocity, goal]), action))
+            position, velocity, success = point_step_reference(position, velocity, goal, action, wall)
+            steps += 1
+        if success:
+            successes += 1
+            states += [s for s, _ in episode]
+            actions += [a for _, a in episode]
+            dones += [False] * (len(episode) - 1) + [True]
+    return (np.array(states).reshape(-1, 6), np.array(actions).reshape(-1, 2), np.array(dones, dtype=bool),
+            successes, attempts)

@@ -158,6 +158,8 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("ppo.minibatch_size=0", "ppo.minibatch_size"),
     ("noise_scale=-1", "noise_scale"),  # the sine world ignores both, yet they must be valid
     ("horizon=0", "horizon"),
+    ("schedule_steps=100001", "schedule_steps"),  # past what a checkpoint may declare
+    ("sample_count=129", "sample_count"),
 ])
 def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
     cfg_path = tmp_path / "cfg.json"
@@ -347,6 +349,36 @@ def test_unknown_time_mode_code_exits_2_naming_the_field(tmp_path, capsys, kind)
     assert run_cli("reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")) == 2
     assert "time_mode" in capsys.readouterr().err
     assert run_cli("inspect", str(path)) in (0, 2)
+
+
+# runs argv[1:] through cli.main under a 2 GiB address-space limit, so a
+# checkpoint that asks for more fails here instead of exhausting the machine
+_LIMITED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from drail_lab import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["drail", "diffail"])
+@pytest.mark.parametrize("field, offset", [("T", 17), ("sample_count", 29)])
+def test_oversized_trailer_field_exits_2_naming_the_field(tmp_path, kind, field, offset):
+    path = tmp_path / "d.drlp"
+    save_discriminator(str(path), _small_discriminators()[kind])
+    data = bytearray(path.read_bytes())
+    # the field's u32 within the 41-byte metadata that ends the file
+    data[-41 + offset : -41 + offset + 4] = (2**31 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for argv, codes in ((["reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")], (2,)),
+                        (["inspect", str(path)], (0, 2))):
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode in codes and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
+        if proc.returncode == 2:
+            assert field in proc.stderr
 
 
 def test_inspect_truncated_discriminator_checkpoints_exit_0_or_2(tmp_path):
