@@ -55,8 +55,11 @@ def cmd_gen_expert(args: argparse.Namespace) -> int:
     if args.env == "sine":
         dataset = sine_expert_sample(SineWorldSpec(), args.n, rng)
     else:
-        dataset = gen_expert_dataset(args.n, rng, noise_scale=args.noise_scale,
-                                     horizon=args.horizon, wall=args.wall)
+        try:
+            dataset = gen_expert_dataset(args.n, rng, noise_scale=args.noise_scale,
+                                         horizon=args.horizon, wall=args.wall)
+        except RuntimeError as e:  # the expert cannot reach the goal under these settings
+            raise ValueError(str(e)) from None
     dataset_save(dataset, args.out)
     config = {
         "env": args.env,

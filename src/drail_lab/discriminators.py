@@ -45,8 +45,10 @@ _TIME_MODE_NAME = {v: k for k, v in _TIME_MODE_CODE.items()}
 _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
-# schedule and its time-feature table grow with T, and a 101x121 reward
-# map of a 128-draw checkpoint already needs about 0.8 GiB
+# schedule and its time-feature table grow with T, and the draws with the
+# cells x sample_count of a reward map. Scored one 8192-row block at a
+# time, a 128-draw 101x121 map peaks at 112 MB (1.62 GB when its 3.1M
+# denoiser rows were built in one piece)
 MAX_SCHEDULE_STEPS = 100_000
 MAX_SAMPLE_COUNT = 128
 
@@ -127,24 +129,32 @@ class _DenoisingDiscriminator:
         """Mean denoiser loss of each pair under each of the kind's label
         branches, sample_count draws per pair, each draw shared by the branches.
 
+        The denoiser rows run over the branches, then the pairs, then the
+        draws. Without ``hs`` they are scored one nn_core._FORWARD_BLOCK of
+        rows at a time, the blocks forward_batch walks a batch in, so the
+        rows of no more than one block coexist. Given a list ``hs``, all
+        rows are one block whose activations are collected there.
+
         Returns (losses of shape (branches, n), (ts, eps), eps_rows, preds):
-        the draw, then the noise and prediction rows of the batched_losses
-        call, which run over the branches, then the pairs, then the draws.
-        Given a list ``hs``, the denoiser's activations are collected there.
+        the draw, then the noise and prediction rows of the last block.
         """
         n, m = states.shape[0], self.sample_count
         den = self.denoiser
-        x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
+        x0 = np.concatenate([states, actions], axis=1)
         ts = rng.integers(1, den.schedule.T + 1, size=n * m)
         eps = rng.standard_normal((n * m, den.data_dim))
-        k = len(self.branch_labels)
-        eps_rows = np.concatenate([eps] * k)
-        labels = np.concatenate([np.full((n * m, den.label_dim), v) for v in self.branch_labels])
-        losses, _, preds = diffusion.batched_losses(den, np.concatenate([x0_rows] * k), np.concatenate([ts] * k),
-                                                    eps_rows, labels, hs)
+        branch_labels = np.asarray(self.branch_labels)
+        rows = branch_labels.size * n * m
+        block = rows if hs is not None else nn_core._FORWARD_BLOCK
+        losses = np.empty(rows)
+        for lo in range(0, rows, block):
+            branch, i = np.divmod(np.arange(lo, min(lo + block, rows)), n * m)
+            labels = np.broadcast_to(branch_labels[branch, None], (i.size, den.label_dim))
+            eps_rows = eps[i]
+            losses[lo : lo + i.size], _, preds = diffusion.batched_losses(den, x0[i // m], ts[i], eps_rows, labels, hs)
         if not np.all(np.isfinite(losses)):
             raise ValueError("non-finite denoiser output")
-        return losses.reshape(k, n, m).mean(axis=2), (ts, eps), eps_rows, preds
+        return losses.reshape(-1, n, m).mean(axis=2), (ts, eps), eps_rows, preds
 
     def describe(self) -> str:
         return (f"state_dim={self.state_dim}, action_dim={self.action_dim}, label_dim={self.denoiser.label_dim}, "

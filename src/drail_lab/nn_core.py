@@ -142,14 +142,6 @@ def init_params(specs: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Pa
     return ParamStore(np.concatenate(chunks), layout_for(specs), seed=seed)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def _as_batch(x: np.ndarray, width: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -185,7 +177,13 @@ def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray
     if hs is not None:
         hs.append(x)
     for weights, bias, activation, _ in layers:
-        x = _activate(activation, x @ weights.T + bias)
+        # one fresh array per layer: affine map, bias and activation in place
+        x = x @ weights.T
+        x += bias
+        if activation == "tanh":
+            np.tanh(x, out=x)
+        elif activation == "relu":
+            np.maximum(x, 0.0, out=x)
         if hs is not None:
             hs.append(x)
     return x
@@ -194,17 +192,22 @@ def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray
 def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Reverse pass over the activations ``hs`` of a forward walk; ``g`` is
     the (n, out_dim) upstream gradient. Writes every entry of ``grad``, the
-    flat gradient (or a slice of a longer buffer), and returns it."""
+    flat gradient (or a slice of a longer buffer), and returns it. Neither
+    ``g`` nor ``hs`` is written."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, activation, offset = layers[k]
+        h = hs[k + 1]
         # derivatives from the activation output; identity's is 1
         if activation == "tanh":
-            g = g * (1.0 - hs[k + 1] * hs[k + 1])
+            d = h * h
+            np.subtract(1.0, d, out=d)
+            g = np.multiply(g, d, out=d)
         elif activation == "relu":
-            g = g * (hs[k + 1] > 0.0).astype(np.float64)
-        n_w = weights.size
-        grad[offset : offset + n_w] = (g.T @ hs[k]).ravel()
-        grad[offset + n_w : offset + n_w + weights.shape[0]] = g.sum(axis=0)
+            g = np.multiply(g, h > 0.0)
+        n_out, n_in = weights.shape
+        n_w = n_out * n_in
+        np.matmul(g.T, hs[k], out=grad[offset : offset + n_w].reshape(n_out, n_in))
+        np.sum(g, axis=0, out=grad[offset + n_w : offset + n_w + n_out])
         if k > 0:
             g = g @ weights
     return grad

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from drail_lab import diffusion
+
 
 def fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of a scalar function."""
@@ -147,3 +149,20 @@ def expert_dataset_reference(n: int, rng: np.random.Generator, noise_scale: floa
             dones += [False] * (len(episode) - 1) + [True]
     return (np.array(states).reshape(-1, 6), np.array(actions).reshape(-1, 2), np.array(dones, dtype=bool),
             successes, attempts)
+
+
+def denoiser_losses_one_piece(disc, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A drail or diffail discriminator's mean loss per label branch and
+    pair, its denoiser rows built in one piece: every branch's x0, timestep,
+    noise and label rows concatenated, then one batched_losses call.
+    Returns shape (branches, pairs)."""
+    n, m = states.shape[0], disc.sample_count
+    den = disc.denoiser
+    k = len(disc.branch_labels)
+    x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
+    ts = rng.integers(1, den.schedule.T + 1, size=n * m)
+    eps = rng.standard_normal((n * m, den.data_dim))
+    labels = np.concatenate([np.full((n * m, den.label_dim), v) for v in disc.branch_labels])
+    losses, _, _ = diffusion.batched_losses(den, np.concatenate([x0_rows] * k), np.concatenate([ts] * k),
+                                            np.concatenate([eps] * k), labels)
+    return losses.reshape(k, n, m).mean(axis=2)

@@ -87,6 +87,16 @@ def test_gen_expert_rejects_unknown_env(tmp_path, capsys):
     assert "sine" in err and "point_reach" in err
 
 
+def test_gen_expert_unreachable_horizon_is_a_usage_error(tmp_path, capsys):
+    # 5 steps cannot carry the expert to the goal, so every attempt fails
+    out = tmp_path / "x.drld"
+    rc = run_cli("gen-expert", "--env", "point_reach", "--n", "2", "--horizon", "5", "-o", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: scripted expert success rate too low: 0/20 attempts succeeded\n"
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -285,6 +295,23 @@ def test_reward_map_peak_memory_stays_bounded(tmp_path):
     code, maxrss_kib = (int(x) for x in out.split())
     assert code == 0
     assert maxrss_kib / 1024.0 < 150.0
+
+
+def test_reward_map_memory_does_not_grow_with_draws(tmp_path):
+    # 101x121 cells x 128 draws x 2 label branches is 3.1M denoiser rows;
+    # built in one piece they peak near 1.6 GB, scored a block at a time
+    # only the draws and the per-row losses grow with them
+    ckpt = str(tmp_path / "d.drlp")
+    save_discriminator(ckpt, build_drail(1, 1, sample_count=128, seed=2))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _MAXRSS_LAUNCHER, sys.executable, "-m", "drail_lab.cli",
+                          "reward-map", ckpt, "--resolution", "101x121", "--samples", "1",
+                          "-o", str(tmp_path / "map.csv")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    code, maxrss_kib = (int(x) for x in out.split())
+    assert code == 0
+    assert maxrss_kib / 1024.0 < 250.0
 
 
 def test_reward_map_rejects_policy_checkpoint(tmp_path, capsys):

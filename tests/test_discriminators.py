@@ -16,12 +16,14 @@ from drail_lab.discriminators import (
     build_drail,
     build_gail,
     diffail_disc_loss,
+    diffail_loss_batch,
     diffail_prob,
     diffail_reward,
     diffail_reward_from_loss,
     diffail_update,
     drail_disc_loss,
     drail_logit,
+    drail_logit_batch,
     drail_prob,
     drail_reward,
     drail_update,
@@ -34,7 +36,7 @@ from drail_lab.discriminators import (
 )
 from drail_lab.nn_core import AdamState, LayerSpec, ParamStore
 
-from oracles import fd_grad, rel_err
+from oracles import denoiser_losses_one_piece, fd_grad, rel_err
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -466,3 +468,30 @@ def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
     [(params, specs, inputs, upstream, got)] = calls
     assert got is grad
     assert grad.tobytes() == nn_core.backward_batch(params, specs, inputs, upstream).tobytes()
+
+
+# denoiser rows per call: one pair, exactly one block, and 3.5 blocks,
+# where drail's real/fake boundary falls inside the second block. On the
+# sine maps' 1-D state and action, scoring in blocks of 512 rows instead
+# of 8192 changes bytes.
+@pytest.mark.parametrize("rows", [1, nn_core._FORWARD_BLOCK, 7 * nn_core._FORWARD_BLOCK // 2])
+@pytest.mark.parametrize("sample_count", [1, 4])
+@pytest.mark.parametrize("kind", ["drail", "drail_unlabeled", "diffail"])
+def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows):
+    if kind == "diffail":
+        disc = build_diffail(1, 1, hidden=(32, 32), T=50, sample_count=sample_count, seed=3)
+    else:
+        label_dim = 0 if kind == "drail_unlabeled" else 4
+        disc = build_drail(1, 1, label_dim=label_dim, hidden=(32, 32), T=50, sample_count=sample_count, seed=3)
+    n = max(1, rows // (len(disc.branch_labels) * sample_count))
+    rng = np.random.default_rng(8)
+    states, actions = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    want = denoiser_losses_one_piece(disc, states, actions, np.random.default_rng(4))
+    if kind == "diffail":
+        got = diffail_loss_batch(disc, states, actions, np.random.default_rng(4))
+        assert got.tobytes() == want[0].tobytes()
+        return
+    got = drail_logit_batch(disc, states, actions, np.random.default_rng(4))
+    assert got.tobytes() == (want[1] - want[0]).tobytes()
+    if kind == "drail_unlabeled":
+        assert np.all(got == 0.0)

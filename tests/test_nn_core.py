@@ -275,3 +275,26 @@ def test_backward_activations_checks_upstream():
         nn_core.backward_activations(params, specs, hs, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         nn_core.backward_activations(params, specs, hs, np.full((5, 2), np.nan))
+
+
+@pytest.mark.parametrize("out_act", ["tanh", "relu", "identity"])
+def test_walks_leave_inputs_upstream_and_activations_unchanged(out_act):
+    # the walks compute in place on their own arrays only; the caller's
+    # rows, upstream gradient and collected activations keep their bytes
+    specs = (LayerSpec(3, 8, "relu"), LayerSpec(8, 8, "tanh"), LayerSpec(8, 2, out_act))
+    params = init_params(specs, seed=6)
+    rng = np.random.default_rng(1)
+    x, upstream = rng.normal(size=(17, 3)), rng.normal(size=(17, 2))
+    x_bytes, upstream_bytes = x.tobytes(), upstream.tobytes()
+    runs = []
+    for _ in range(2):
+        hs = []
+        out = forward_batch(params, specs, x, hs)
+        hs_bytes = [h.tobytes() for h in hs]
+        walked = nn_core.backward_activations(params, specs, hs, upstream)
+        assert [h.tobytes() for h in hs] == hs_bytes
+        grad = backward_batch(params, specs, x, upstream)
+        assert x.tobytes() == x_bytes and upstream.tobytes() == upstream_bytes
+        assert walked.tobytes() == grad.tobytes()
+        runs.append((out.tobytes(), grad.tobytes(), hs_bytes))
+    assert runs[0] == runs[1]
