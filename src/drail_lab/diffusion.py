@@ -127,6 +127,12 @@ def fake_label(label_dim: int) -> ConditionLabel:
     return ConditionLabel("fake", np.zeros(label_dim))
 
 
+def _check_timesteps(ts: np.ndarray, T: int) -> None:
+    # a table gather would wrap a negative t silently
+    if ts.size and not (0 <= ts.min() and ts.max() <= T):
+        raise ValueError(f"timestep outside [0, {T}]")
+
+
 @dataclass(frozen=True)
 class Denoiser:
     """Conditional noise-prediction MLP over (state, action) vectors."""
@@ -163,9 +169,7 @@ class Denoiser:
     def time_features(self, ts: np.ndarray) -> np.ndarray:
         """Feature rows of integer timesteps ts, each in [0, T]."""
         ts = np.asarray(ts)
-        # a table gather would wrap a negative t silently
-        if ts.size and not (0 <= ts.min() and ts.max() <= self.schedule.T):
-            raise ValueError(f"timestep outside [0, {self.schedule.T}]")
+        _check_timesteps(ts, self.schedule.T)
         if self.time_mode == "scalar":
             return (ts / self.schedule.T)[:, None]
         return _time_table(self.schedule.T, self.time_embed_dim)[ts]
@@ -199,6 +203,117 @@ def build_denoiser(
     )
 
 
+def _noised(model: Denoiser, x0_rows: np.ndarray, ts: np.ndarray, eps_rows: np.ndarray) -> np.ndarray:
+    """Rows corrupted to their levels: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
+    ab = model.schedule.alpha_bar[ts]
+    return np.sqrt(ab)[:, None] * x0_rows + np.sqrt(1.0 - ab)[:, None] * eps_rows
+
+
+def _time_terms(model: Denoiser, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer's time and bias terms, folded once per distinct
+    timestep of a call: returns (P, lookup), where row P[lookup[t]] is
+    features(t) @ W_t.T + b for each timestep t in ts. P has one row per
+    distinct timestep, so it is no longer than the call's draws however
+    long the schedule is; lookup has T + 1 entries."""
+    T = model.schedule.T
+    _check_timesteps(ts, T)
+    present = np.zeros(T + 1, dtype=bool)
+    present[ts] = True
+    distinct = np.flatnonzero(present)
+    lookup = np.empty(T + 1, dtype=np.intp)
+    lookup[distinct] = np.arange(distinct.size)
+    weights = model.params.weights(0)
+    terms = model.time_features(distinct) @ weights[:, model.data_dim + model.label_dim :].T
+    terms += model.params.bias(0)
+    return terms, lookup
+
+
+def _branch_predictions(
+    model: Denoiser, noised: np.ndarray, time_rows: np.ndarray, labels: tuple, hs: list | None = None
+) -> np.ndarray:
+    """The network's noise predictions for the noised data rows ``noised``
+    under each condition label of ``labels``; returns (len(labels), rows,
+    data_dim).
+
+    The first layer's pre-activation u = noised @ W_x.T + time_rows is
+    computed once per row (``time_rows`` holds each row's folded time and
+    bias terms, see _time_terms). A label adds label * W_l.sum(1), the
+    label columns' product when all of them hold the label's value; a
+    label is one value or a (rows, 1) column of values. A zero label, or a
+    label_dim of 0, adds nothing. The branches' rows are stacked branch by
+    branch and walk the layers above as one batch; given a list ``hs``,
+    that walk's activations [h_1, ..., out] are collected there for
+    _branch_gradient."""
+    layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
+    weights, _, activation, _ = layers[0]
+    d, k, rows = model.data_dim, len(labels), noised.shape[0]
+    z = np.empty((k, rows, weights.shape[0]))
+    # the last branch's rows hold u until the others are built from them
+    u = np.matmul(noised, weights[:, :d].T, out=z[-1])
+    u += time_rows
+    w_label = weights[:, d : d + model.label_dim].sum(axis=1)
+    for b, label in enumerate(labels):
+        if model.label_dim and np.any(label):
+            np.add(u, label * w_label, out=z[b])
+        elif b < k - 1:
+            z[b] = u
+    h = nn_core._activate(z.reshape(k * rows, -1), activation)
+    return nn_core._forward(layers[1:], h, hs).reshape(k, rows, d)
+
+
+def _branch_gradient(
+    model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarray, upstream: np.ndarray, labels: tuple
+) -> np.ndarray:
+    """Exact gradient, with respect to the flat parameters, of
+    sum(upstream * outputs) over the stacked rows of the _branch_predictions
+    walk whose activations are ``hs``; each label is one value.
+
+    Layers 1 and up go through nn_core._backward. The first layer's
+    gradient comes from G, the gradient of its pre-activation summed over
+    the branches: G.T @ noised for the data columns, G.T @ features(ts)
+    for the time columns and colsum(G) for the bias; each label column
+    gets the sum over branches of label * colsum(that branch's gradient)."""
+    layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
+    weights, _, activation, offset = layers[0]
+    width, n_in = weights.shape
+    d, n_label = model.data_dim, model.label_dim
+    grad = np.empty(len(model.params))
+    g = nn_core._backward(layers[1:], hs, upstream, grad, input_grad=True)
+    # a walk with no layers above hands back upstream itself
+    g = nn_core._activation_backward(g, hs[0], activation, owned=len(layers) > 1)
+    g = g.reshape(len(labels), -1, width)
+    total = g[0]
+    for g_branch in g[1:]:
+        total = total + g_branch
+    d_weights = grad[offset : offset + width * n_in].reshape(width, n_in)
+    d_weights[:, :d] = total.T @ noised
+    d_label = np.zeros(width)
+    for label, g_branch in zip(labels, g):
+        if label:
+            d_label += label * g_branch.sum(axis=0)
+    d_weights[:, d : d + n_label] = d_label[:, None]
+    d_weights[:, d + n_label :] = total.T @ model.time_features(ts)
+    np.sum(total, axis=0, out=grad[offset + width * n_in : offset + width * (n_in + 1)])
+    return grad
+
+
+def _row_predictions(
+    model: Denoiser, noised: np.ndarray, ts: np.ndarray, label_rows: np.ndarray, hs: list | None = None
+) -> np.ndarray:
+    """Noise predictions for noised rows, each with its own timestep and
+    label row; a label row repeats one value over its label_dim columns."""
+    n = noised.shape[0]
+    if label_rows.shape != (n, model.label_dim):
+        raise ValueError(f"label rows must have shape ({n}, {model.label_dim}), got {label_rows.shape}")
+    if not (np.isfinite(noised).all() and np.isfinite(label_rows).all()):
+        raise ValueError("non-finite denoiser inputs")
+    label = label_rows[:, :1]
+    if np.any(label_rows != label):
+        raise ValueError("each label row must repeat one value")
+    terms, lookup = _time_terms(model, ts)
+    return _branch_predictions(model, noised, terms[lookup[ts]], (label if model.label_dim else 0.0,), hs)[0]
+
+
 def batched_inputs(
     model: Denoiser,
     x0_rows: np.ndarray,
@@ -206,13 +321,12 @@ def batched_inputs(
     eps_rows: np.ndarray,
     label_rows: np.ndarray,
 ) -> np.ndarray:
-    """Assemble network input rows [noised(x0) | label | time features]."""
-    x0_rows = np.asarray(x0_rows, dtype=np.float64)
-    eps_rows = np.asarray(eps_rows, dtype=np.float64)
+    """Assemble the explicit network input rows [noised(x0) | label | time
+    features], the rows whose first-layer product the fold stands for."""
     ts = np.asarray(ts)
-    ab = model.schedule.alpha_bar[ts]
-    noised = np.sqrt(ab)[:, None] * x0_rows + np.sqrt(1.0 - ab)[:, None] * eps_rows
-    return np.concatenate([noised, label_rows, model.time_features(ts)], axis=1)
+    features = model.time_features(ts)
+    noised = _noised(model, np.asarray(x0_rows, dtype=np.float64), ts, np.asarray(eps_rows, dtype=np.float64))
+    return np.concatenate([noised, label_rows, features], axis=1)
 
 
 def batched_losses(
@@ -226,21 +340,30 @@ def batched_losses(
     """Per-row single-draw losses; returns (losses, inputs, predictions).
 
     Loss is the mean over coordinates of the squared noise-prediction
-    error, so its scale does not grow with the data dimension. Given a
-    list ``hs``, the network's activations are collected there for
-    ``nn_core.backward_activations``.
+    error, so its scale does not grow with the data dimension. The network
+    runs the first-layer fold of _branch_predictions; each label row
+    repeats one value, as ConditionLabel's do. ``inputs`` are the explicit
+    rows the fold stands for (batched_inputs), for nn_core.backward_batch.
+    Given a list ``hs``, [inputs, h_1, ..., out] are collected there for
+    nn_core.backward_activations.
     """
+    eps_rows = np.asarray(eps_rows, dtype=np.float64)
+    label_rows = np.asarray(label_rows, dtype=np.float64)
     inputs = batched_inputs(model, x0_rows, ts, eps_rows, label_rows)
-    preds = nn_core.forward_batch(model.params, model.specs, inputs, hs)
+    if hs is not None:
+        hs.append(inputs)
+    preds = _row_predictions(model, inputs[:, : model.data_dim], np.asarray(ts), label_rows, hs)
     losses = np.mean((preds - eps_rows) ** 2, axis=1)
     return losses, inputs, preds
 
 
 def loss_grad_upstream(preds: np.ndarray, eps_rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Upstream rows for backward_batch when the scalar objective is
-    sum_i coeffs[i] * loss_i with loss_i = mean((pred_i - eps_i)^2)."""
-    d = preds.shape[1]
-    return coeffs[:, None] * (2.0 / d) * (preds - eps_rows)
+    sum_i coeffs[i] * loss_i with loss_i = mean((pred_i - eps_i)^2). The
+    leading axes of preds and coeffs may also be (branches, rows), with
+    eps_rows shared by the branches."""
+    d = preds.shape[-1]
+    return coeffs[..., None] * (2.0 / d) * (preds - eps_rows)
 
 
 def predict_noise(
@@ -261,8 +384,7 @@ def predict_noise(
         raise ValueError(f"x_t must have length {model.data_dim}")
     if label.embedding.shape != (model.label_dim,):
         raise ValueError(f"label dim {label.embedding.size} != model label dim {model.label_dim}")
-    row = np.concatenate([x_t, label.embedding, model.time_features(np.asarray([t]))[0]])
-    return nn_core.forward(model.params, model.specs, row)
+    return _row_predictions(model, x_t[None, :], np.asarray([t]), label.embedding[None, :])[0]
 
 
 def diffusion_loss_single(
@@ -274,14 +396,8 @@ def diffusion_loss_single(
     eps: np.ndarray,
 ) -> float:
     """Single-draw loss: mean squared error between predicted and injected noise."""
-    s = np.asarray(s, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a)) and np.all(np.isfinite(eps))):
-        raise ValueError("non-finite inputs to diffusion loss")
     if not 1 <= t <= model.schedule.T:
         raise ValueError(f"t={t} outside [1, {model.schedule.T}]")
-    x0 = np.concatenate([s, a])
-    x_t = noising(x0, t, eps, model.schedule)
-    pred = predict_noise(model, s, a, x_t, t, label)
-    return float(np.mean((pred - eps) ** 2))
+    x0 = np.concatenate([np.asarray(s, dtype=np.float64), np.asarray(a, dtype=np.float64)])
+    return float(batched_losses(model, x0[None, :], np.asarray([t]), np.asarray(eps)[None, :],
+                                label.embedding[None, :])[0][0])

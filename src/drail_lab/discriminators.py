@@ -46,9 +46,9 @@ _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
 # schedule and its time-feature table grow with T, and the draws with the
-# cells x sample_count of a reward map. Scored one 8192-row block at a
-# time, a 128-draw 101x121 map peaks at 112 MB (1.62 GB when its 3.1M
-# denoiser rows were built in one piece)
+# cells x sample_count of a reward map. Scored a block of draws at a time
+# (at most 8192 walked rows), a 128-draw 101x121 map peaks at 108 MB
+# (1.62 GB when its 3.1M denoiser rows were built in one piece)
 MAX_SCHEDULE_STEPS = 100_000
 MAX_SAMPLE_COUNT = 128
 
@@ -73,6 +73,8 @@ def _check_batch(batch: tuple[np.ndarray, np.ndarray], state_dim: int, action_di
         raise ValueError(f"empty {who} batch")
     if states.shape != (states.shape[0], state_dim) or actions.shape != (states.shape[0], action_dim):
         raise ValueError(f"{who} batch dims do not match the discriminator")
+    if not (np.isfinite(states).all() and np.isfinite(actions).all()):
+        raise ValueError(f"{who} batch contains non-finite entries")
     return states, actions
 
 
@@ -129,32 +131,44 @@ class _DenoisingDiscriminator:
         """Mean denoiser loss of each pair under each of the kind's label
         branches, sample_count draws per pair, each draw shared by the branches.
 
-        The denoiser rows run over the branches, then the pairs, then the
-        draws. Without ``hs`` they are scored one nn_core._FORWARD_BLOCK of
-        rows at a time, the blocks forward_batch walks a batch in, so the
-        rows of no more than one block coexist. Given a list ``hs``, all
-        rows are one block whose activations are collected there.
+        The draws run over the pairs, then a pair's sample_count draws. A
+        draw's noised row goes through the first layer once, and every
+        branch walks the layers above from it (see
+        diffusion._branch_predictions). Without ``hs`` the draws are scored
+        nn_core._FORWARD_BLOCK // branches at a time, so the stacked rows of
+        no more than one block coexist. Given a list ``hs``, all draws are
+        one block whose activations are collected there.
 
-        Returns (losses of shape (branches, n), (ts, eps), eps_rows, preds):
-        the draw, then the noise and prediction rows of the last block.
+        Returns (losses of shape (branches, n), (ts, eps), noised, preds):
+        the draw, then the noised rows and the (branches, rows, data_dim)
+        predictions of the last block.
         """
         n, m = states.shape[0], self.sample_count
         den = self.denoiser
         x0 = np.concatenate([states, actions], axis=1)
         ts = rng.integers(1, den.schedule.T + 1, size=n * m)
         eps = rng.standard_normal((n * m, den.data_dim))
-        branch_labels = np.asarray(self.branch_labels)
-        rows = branch_labels.size * n * m
-        block = rows if hs is not None else nn_core._FORWARD_BLOCK
-        losses = np.empty(rows)
-        for lo in range(0, rows, block):
-            branch, i = np.divmod(np.arange(lo, min(lo + block, rows)), n * m)
-            labels = np.broadcast_to(branch_labels[branch, None], (i.size, den.label_dim))
-            eps_rows = eps[i]
-            losses[lo : lo + i.size], _, preds = diffusion.batched_losses(den, x0[i // m], ts[i], eps_rows, labels, hs)
+        time_terms, lookup = diffusion._time_terms(den, ts)
+        k = len(self.branch_labels)
+        block = n * m if hs is not None else nn_core._FORWARD_BLOCK // k
+        losses = np.empty((k, n * m))
+        for lo in range(0, n * m, block):
+            rows = slice(lo, lo + block)
+            pairs = np.arange(lo, min(lo + block, n * m)) // m
+            noised = diffusion._noised(den, x0[pairs], ts[rows], eps[rows])
+            preds = diffusion._branch_predictions(den, noised, time_terms[lookup[ts[rows]]], self.branch_labels, hs)
+            losses[:, rows] = np.mean((preds - eps[rows]) ** 2, axis=2)
         if not np.all(np.isfinite(losses)):
             raise ValueError("non-finite denoiser output")
-        return losses.reshape(-1, n, m).mean(axis=2), (ts, eps), eps_rows, preds
+        return losses.reshape(k, n, m).mean(axis=2), (ts, eps), noised, preds
+
+    def _gradient(self, hs: list, draw: tuple, noised: np.ndarray, preds: np.ndarray, coeffs: np.ndarray):
+        """Parameter gradient of sum over b, i of coeffs[b, i] times the
+        loss of draw i under branch b, for a one-block _losses call that
+        collected ``hs``."""
+        ts, eps = draw
+        upstream = diffusion.loss_grad_upstream(preds, eps, coeffs).reshape(-1, eps.shape[1])
+        return diffusion._branch_gradient(self.denoiser, hs, noised, ts, upstream, self.branch_labels)
 
     def describe(self) -> str:
         return (f"state_dim={self.state_dim}, action_dim={self.action_dim}, label_dim={self.denoiser.label_dim}, "
@@ -278,16 +292,14 @@ def drail_disc_loss(
     on agent pairs."""
     states, actions, n_e = _loss_batch(clf, expert_batch, agent_batch)
     hs: list[np.ndarray] = []
-    (loss_real, loss_fake), _, eps_rows, preds = clf._losses(states, actions, rng, hs)
+    (loss_real, loss_fake), draw, noised, preds = clf._losses(states, actions, rng, hs)
     loss, dd = _logit_xent(loss_fake - loss_real, n_e)
     # d loss / d delta_i, spread over the per-draw rows of each branch
     # (each of the M draws contributes 1/M of the sample's delta); real
     # rows carry -1, fake rows +1
     m = clf.sample_count
     per_row = np.repeat(dd / m, m)
-    upstream = diffusion.loss_grad_upstream(preds, eps_rows, np.concatenate([-per_row, per_row]))
-    grad = nn_core.backward_activations(clf.denoiser.params, clf.denoiser.specs, hs, upstream)
-    return loss, grad
+    return loss, clf._gradient(hs, draw, noised, preds, np.stack([-per_row, per_row]))
 
 
 def drail_update(
@@ -489,7 +501,7 @@ def diffail_disc_loss(
     states, actions, n_e = _loss_batch(disc, expert_batch, agent_batch)
     n_a = states.shape[0] - n_e
     hs: list[np.ndarray] = []
-    (L,), _, eps_rows, preds = disc._losses(states, actions, rng, hs)
+    (L,), draw, noised, preds = disc._losses(states, actions, rng, hs)
     La = np.maximum(L[n_e:], DIFFAIL_LOSS_FLOOR)
     loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
     dL = np.empty(n_e + n_a)
@@ -497,9 +509,7 @@ def diffail_disc_loss(
     # d/dL of -log(1 - exp(-L)) is -1/(exp(L) - 1)
     dL[n_e:] = -1.0 / np.expm1(La) / n_a
     coeffs = np.repeat(dL / disc.sample_count, disc.sample_count)
-    upstream = diffusion.loss_grad_upstream(preds, eps_rows, coeffs)
-    grad = nn_core.backward_activations(disc.denoiser.params, disc.denoiser.specs, hs, upstream)
-    return loss, grad
+    return loss, disc._gradient(hs, draw, noised, preds, coeffs[None, :])
 
 
 def diffail_update(

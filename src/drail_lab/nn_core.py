@@ -170,6 +170,28 @@ def _layers(values: np.ndarray, layout: tuple[LayerView, ...], specs: tuple[Laye
     return tuple(out)
 
 
+def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The activation applied in place on the pre-activation rows ``z``."""
+    if activation == "tanh":
+        np.tanh(z, out=z)
+    elif activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _activation_backward(g: np.ndarray, h: np.ndarray, activation: str, owned: bool) -> np.ndarray:
+    """``g`` times the activation's derivative, taken from its output ``h``
+    (identity's is 1). relu's mask is written in place when ``owned``, that
+    is when ``g`` is an array the caller made, never a caller's input."""
+    if activation == "tanh":
+        d = h * h
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=d)
+    if activation == "relu":
+        return np.multiply(g, h > 0.0, out=g if owned else None)
+    return g
+
+
 def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray:
     """Unchecked layer walk over a (n, in_dim) batch; returns the output.
     Given a list ``hs``, it also collects [x, h_1, ..., h_out] there, the
@@ -180,37 +202,31 @@ def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray
         # one fresh array per layer: affine map, bias and activation in place
         x = x @ weights.T
         x += bias
-        if activation == "tanh":
-            np.tanh(x, out=x)
-        elif activation == "relu":
-            np.maximum(x, 0.0, out=x)
+        _activate(x, activation)
         if hs is not None:
             hs.append(x)
     return x
 
 
-def _backward(layers: tuple, hs: list[np.ndarray], g: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _backward(
+    layers: tuple, hs: list[np.ndarray], g: np.ndarray, grad: np.ndarray, input_grad: bool = False
+) -> np.ndarray | None:
     """Reverse pass over the activations ``hs`` of a forward walk; ``g`` is
     the (n, out_dim) upstream gradient. Writes every entry of ``grad``, the
-    flat gradient (or a slice of a longer buffer), and returns it. Neither
-    ``g`` nor ``hs`` is written."""
+    flat gradient (or a slice of a longer buffer), at the layers' offsets.
+    Given ``input_grad``, returns the gradient with respect to the walk's
+    input rows (``g`` itself when there are no layers); otherwise None.
+    Neither ``g`` nor ``hs`` is written."""
     for k in range(len(layers) - 1, -1, -1):
         weights, _, activation, offset = layers[k]
-        h = hs[k + 1]
-        # derivatives from the activation output; identity's is 1
-        if activation == "tanh":
-            d = h * h
-            np.subtract(1.0, d, out=d)
-            g = np.multiply(g, d, out=d)
-        elif activation == "relu":
-            g = np.multiply(g, h > 0.0)
+        g = _activation_backward(g, hs[k + 1], activation, owned=k < len(layers) - 1)
         n_out, n_in = weights.shape
         n_w = n_out * n_in
         np.matmul(g.T, hs[k], out=grad[offset : offset + n_w].reshape(n_out, n_in))
         np.sum(g, axis=0, out=grad[offset + n_w : offset + n_w + n_out])
-        if k > 0:
+        if k > 0 or input_grad:
             g = g @ weights
-    return grad
+    return g if input_grad else None
 
 
 def forward_batch(
@@ -250,7 +266,9 @@ def backward_activations(
     g = _as_batch(upstream, specs[-1].out_dim, "upstream")
     if g.shape[0] != hs[0].shape[0]:
         raise ValueError(f"upstream rows {g.shape[0]} != input rows {hs[0].shape[0]}")
-    return _backward(_layers(params.values, params.layout, specs), hs, g, np.empty(len(params)))
+    grad = np.empty(len(params))
+    _backward(_layers(params.values, params.layout, specs), hs, g, grad)
+    return grad
 
 
 def backward_batch(
@@ -303,14 +321,23 @@ def _adam_apply(
 ) -> None:
     """Unchecked bias-corrected Adam step number ``step`` with the
     hyper-parameters of ``state``, in place on the flat vector ``values``
-    and the moments ``m`` and ``v``."""
+    and the moments ``m`` and ``v``, through two scratch arrays. The
+    operations and their order are those of the textbook expression
+    values -= lr * m_hat / (sqrt(v_hat) + epsilon)."""
+    a = np.multiply(g, 1.0 - state.beta1)
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += a
+    np.multiply(g, 1.0 - state.beta2, out=a)
+    a *= g
     v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    values -= state.lr * lr_scale * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    v += a
+    np.divide(m, 1.0 - state.beta1**step, out=a)
+    a *= state.lr * lr_scale
+    b = np.divide(v, 1.0 - state.beta2**step)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    values -= a
 
 
 def adam_step(

@@ -281,7 +281,8 @@ def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip: float) -> np.nda
 
 
 def _clip_norm_inplace(g: np.ndarray, max_norm: float) -> None:
-    norm = float(np.linalg.norm(g))
+    # the sum np.linalg.norm computes for a vector
+    norm = math.sqrt(g.dot(g))
     if norm > max_norm:
         g *= max_norm / norm
 
@@ -368,7 +369,7 @@ def ppo_update(
             dsurr_dlogp = np.where(unclipped <= clipped, unclipped, 0.0) / nb
             upstream = -dsurr_dlogp[:, None] * (diff * inv_var)
             nn_core._backward(p_layers, p_hs, upstream, grad)
-            g_ls[:] = -dsurr_dlogp @ (sq - 1.0) - cfg.entropy_coef * np.ones(policy.action_dim)
+            g_ls[:] = -dsurr_dlogp @ (sq - 1.0) - cfg.entropy_coef
             _clip_norm_inplace(g_policy, MAX_GRAD_NORM)
             dv = (2.0 * cfg.value_coef / nb) * (values - ret_mb)
             nn_core._backward(v_layers, v_hs, dv[:, None], g_value)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from drail_lab import diffusion
+from drail_lab import diffusion, nn_core
 
 
 def fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -151,18 +151,60 @@ def expert_dataset_reference(n: int, rng: np.random.Generator, noise_scale: floa
             successes, attempts)
 
 
+def predict_noise_reference(model, x_t: np.ndarray, t: int, label) -> np.ndarray:
+    """The denoiser's output for one corrupted vector, as one explicit
+    input row [x_t | label | time features] through the whole network."""
+    row = np.concatenate([x_t, label.embedding, model.time_features(np.asarray([t]))[0]])
+    return nn_core.forward(model.params, model.specs, row)
+
+
+def diffusion_loss_reference(model, s: np.ndarray, a: np.ndarray, label, t: int, eps: np.ndarray) -> float:
+    """Single-draw loss on one explicit row: the mean squared error between
+    the noise predicted for the corrupted pair and the injected noise."""
+    x_t = diffusion.noising(np.concatenate([s, a]), t, eps, model.schedule)
+    return float(np.mean((predict_noise_reference(model, x_t, t, label) - eps) ** 2))
+
+
+def draw_like_losses(disc, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The (ts, eps) draw a drail or diffail discriminator takes from rng
+    for n pairs: sample_count draws per pair, pair by pair."""
+    den = disc.denoiser
+    ts = rng.integers(1, den.schedule.T + 1, size=n * disc.sample_count)
+    return ts, rng.standard_normal((ts.size, den.data_dim))
+
+
+def explicit_denoiser_rows(disc, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
+    """The explicit input rows [noised | label | time features] of every
+    label branch, branch by branch, for the draw the discriminator takes
+    from rng; returns (inputs, eps rows of the same order)."""
+    ts, eps = draw_like_losses(disc, states.shape[0], rng)
+    x0 = np.repeat(np.concatenate([states, actions], axis=1), disc.sample_count, axis=0)
+    den = disc.denoiser
+    inputs = [diffusion.batched_inputs(den, x0, ts, eps, np.full((ts.size, den.label_dim), v))
+              for v in disc.branch_labels]
+    return np.concatenate(inputs), np.concatenate([eps] * len(disc.branch_labels))
+
+
 def denoiser_losses_one_piece(disc, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """A drail or diffail discriminator's mean loss per label branch and
-    pair, its denoiser rows built in one piece: every branch's x0, timestep,
-    noise and label rows concatenated, then one batched_losses call.
-    Returns shape (branches, pairs)."""
+    pair, its folded first-layer rows built in one piece: the noised rows
+    of every draw through the data columns, plus the time and bias terms
+    of each distinct timestep, plus each branch's label term; then the
+    layers above walk all branches' rows at once. Returns shape
+    (branches, pairs)."""
     n, m = states.shape[0], disc.sample_count
     den = disc.denoiser
-    k = len(disc.branch_labels)
-    x0_rows = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
-    ts = rng.integers(1, den.schedule.T + 1, size=n * m)
-    eps = rng.standard_normal((n * m, den.data_dim))
-    labels = np.concatenate([np.full((n * m, den.label_dim), v) for v in disc.branch_labels])
-    losses, _, _ = diffusion.batched_losses(den, np.concatenate([x0_rows] * k), np.concatenate([ts] * k),
-                                            np.concatenate([eps] * k), labels)
+    d, n_label, k = den.data_dim, den.label_dim, len(disc.branch_labels)
+    ts, eps = draw_like_losses(disc, n, rng)
+    x0 = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
+    ab = den.schedule.alpha_bar[ts]
+    noised = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
+    weights, bias = den.params.weights(0), den.params.bias(0)
+    distinct, inverse = np.unique(ts, return_inverse=True)
+    terms = den.time_features(distinct) @ weights[:, d + n_label :].T + bias
+    u = noised @ weights[:, :d].T + terms[inverse]
+    w_label = weights[:, d : d + n_label].sum(axis=1)
+    h = np.maximum(np.concatenate([u + v * w_label if n_label and v else u for v in disc.branch_labels]), 0.0)
+    out = nn_core._forward(nn_core._layers(den.params.values, den.params.layout, den.specs)[1:], h)
+    losses = np.mean((out.reshape(k, n * m, d) - eps) ** 2, axis=2)
     return losses.reshape(k, n, m).mean(axis=2)

@@ -18,7 +18,7 @@ from drail_lab.diffusion import (
     time_embedding,
 )
 
-from oracles import cosine_alpha_bar_by_hand, fd_grad, rel_err
+from oracles import cosine_alpha_bar_by_hand, diffusion_loss_reference, fd_grad, rel_err
 
 
 # --- schedule -----------------------------------------------------------
@@ -178,10 +178,13 @@ def test_predict_noise_matches_explicit_concat():
     a = np.array([0.7])
     x_t = np.array([0.5, 0.5, 0.5])
     t = 7
-    got = predict_noise(model, s, a, x_t, t, fake_label(3))
-    row = np.concatenate([x_t, np.zeros(3), time_embedding(t, model.schedule.T, 4)])
-    want = nn_core.forward(model.params, model.specs, row)
-    assert np.array_equal(got, want)
+    # the first layer is folded (data, time and label terms apart), so the
+    # explicit row's one product agrees to rounding, not bit for bit
+    for label in (fake_label(3), real_label(3)):
+        got = predict_noise(model, s, a, x_t, t, label)
+        row = np.concatenate([x_t, label.embedding, time_embedding(t, model.schedule.T, 4)])
+        want = nn_core.forward(model.params, model.specs, row)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_predict_noise_dim_mismatch():
@@ -293,5 +296,7 @@ def test_batched_losses_match_single():
     losses, _, _ = diffusion.batched_losses(model, x0, ts, eps, labels)
     for i in range(6):
         label = real_label(4) if i < 3 else fake_label(4)
-        single = diffusion_loss_single(model, x0[i, :2], x0[i, 2:], label, int(ts[i]), eps[i])
+        single = diffusion_loss_reference(model, x0[i, :2], x0[i, 2:], label, int(ts[i]), eps[i])
         assert losses[i] == pytest.approx(single, abs=1e-12)
+        wrapped = diffusion_loss_single(model, x0[i, :2], x0[i, 2:], label, int(ts[i]), eps[i])
+        assert wrapped == pytest.approx(single, abs=1e-12)

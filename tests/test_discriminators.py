@@ -5,7 +5,7 @@ import pytest
 
 from drail_lab import discriminators as disc_mod
 from drail_lab import nn_core
-from drail_lab.diffusion import Denoiser, NoiseSchedule, batched_losses
+from drail_lab.diffusion import Denoiser, NoiseSchedule, batched_losses, loss_grad_upstream
 from drail_lab.discriminators import (
     DIFFAIL_LOSS_FLOOR,
     DIFFAIL_REWARD_FLOOR,
@@ -36,7 +36,7 @@ from drail_lab.discriminators import (
 )
 from drail_lab.nn_core import AdamState, LayerSpec, ParamStore
 
-from oracles import denoiser_losses_one_piece, fd_grad, rel_err
+from oracles import denoiser_losses_one_piece, explicit_denoiser_rows, fd_grad, rel_err
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -441,39 +441,63 @@ def test_load_discriminator_rejects_bare_checkpoint(tmp_path):
         load_discriminator(path)
 
 
+def _gradient_case(kind):
+    if kind == "gail":
+        return build_gail(2, 1, hidden=(16, 16), seed=1)
+    if kind == "drail":
+        return build_drail(2, 1, label_dim=4, hidden=(16, 16), T=50, sample_count=3, seed=1)
+    return build_diffail(2, 1, hidden=(16, 16), T=50, sample_count=3, seed=1)
+
+
 @pytest.mark.parametrize("kind", ["gail", "drail", "diffail"])
 def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
-    # the losses walk the net once and hand that walk's activations to the
-    # backward; the gradient must be backward_batch's on the same rows
+    # gail walks the net once and hands that walk's activations to the
+    # backward: its gradient is backward_batch's on the same rows, bit for
+    # bit. The denoiser's layers above the first walk the folded rows and
+    # go through nn_core._backward: bit for bit backward_batch's on the
+    # walked activations. Its first layer's gradient is built from the
+    # folded rows' gradient and agrees with backward_batch on the explicit
+    # rows to 1e-12.
     calls = []
-    walked = nn_core.backward_activations
+    spied = "backward_activations" if kind == "gail" else "_backward"
+    walked = getattr(nn_core, spied)
 
-    def spy(params, specs, hs, upstream):
-        grad = walked(params, specs, hs, upstream)
-        calls.append((params, specs, hs[0].copy(), np.array(upstream, copy=True), grad))
-        return grad
+    def spy(*args, **kwargs):
+        out = walked(*args, **kwargs)
+        hs, upstream = args[2:4] if kind == "gail" else args[1:3]
+        calls.append((hs[0].copy(), np.array(upstream, copy=True), out))
+        return out
 
-    monkeypatch.setattr(nn_core, "backward_activations", spy)
+    monkeypatch.setattr(nn_core, spied, spy)
     rng = np.random.default_rng(31)
     expert = (rng.uniform(-1, 1, (24, 2)), rng.uniform(-1, 1, (24, 1)))
     agent = (rng.uniform(-1, 1, (20, 2)), rng.uniform(-1, 1, (20, 1)))
+    disc = _gradient_case(kind)
     if kind == "gail":
-        _, grad = gail_disc_loss(build_gail(2, 1, hidden=(16, 16), seed=1), expert, agent)
-    elif kind == "drail":
-        clf = build_drail(2, 1, label_dim=4, hidden=(16, 16), T=50, sample_count=3, seed=1)
-        _, grad = drail_disc_loss(clf, expert, agent, np.random.default_rng(5))
-    else:
-        model = build_diffail(2, 1, hidden=(16, 16), T=50, sample_count=3, seed=1)
-        _, grad = diffail_disc_loss(model, expert, agent, np.random.default_rng(5))
-    [(params, specs, inputs, upstream, got)] = calls
-    assert got is grad
-    assert grad.tobytes() == nn_core.backward_batch(params, specs, inputs, upstream).tobytes()
+        _, grad = gail_disc_loss(disc, expert, agent)
+        [(inputs, upstream, got)] = calls
+        assert got is grad
+        assert grad.tobytes() == nn_core.backward_batch(disc.params, disc.specs, inputs, upstream).tobytes()
+        return
+    loss_fn = drail_disc_loss if kind == "drail" else diffail_disc_loss
+    _, grad = loss_fn(disc, expert, agent, np.random.default_rng(5))
+    [(h1, upstream, _)] = calls
+    den = disc.denoiser
+    first = den.params.layout[0].size
+    above = ParamStore(den.params.values[first:], nn_core.layout_for(den.specs[1:]))
+    assert grad[first:].tobytes() == nn_core.backward_batch(above, den.specs[1:], h1, upstream).tobytes()
+    states, actions = np.concatenate([expert[0], agent[0]]), np.concatenate([expert[1], agent[1]])
+    inputs, _ = explicit_denoiser_rows(disc, states, actions, np.random.default_rng(5))
+    explicit = nn_core.backward_batch(den.params, den.specs, inputs, upstream)
+    assert rel_err(grad[:first], explicit[:first]) <= 1e-12
 
 
-# denoiser rows per call: one pair, exactly one block, and 3.5 blocks,
-# where drail's real/fake boundary falls inside the second block. On the
-# sine maps' 1-D state and action, scoring in blocks of 512 rows instead
-# of 8192 changes bytes.
+# denoiser rows per call: one pair, exactly one block, and 3.5 blocks. A
+# block holds nn_core._FORWARD_BLOCK // branches draws, walked under every
+# branch at once; the one-piece reference walks all rows in one call. BLAS
+# rounds a row alike in any call of a few thousand rows, but not in small
+# calls: on the sine maps' 1-D state and action, scoring in blocks of 512
+# rows instead of 8192 changes bytes.
 @pytest.mark.parametrize("rows", [1, nn_core._FORWARD_BLOCK, 7 * nn_core._FORWARD_BLOCK // 2])
 @pytest.mark.parametrize("sample_count", [1, 4])
 @pytest.mark.parametrize("kind", ["drail", "drail_unlabeled", "diffail"])
@@ -495,3 +519,70 @@ def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows)
     assert got.tobytes() == (want[1] - want[0]).tobytes()
     if kind == "drail_unlabeled":
         assert np.all(got == 0.0)
+
+
+# the fold against the explicit rows [noised | label | time features]
+# through the whole network: both time modes, drail with 0, 4 and 10 label
+# columns and diffail, one and four draws, sine's 1-D and point_reach's 6+2
+# dims
+@pytest.mark.parametrize("dims", [(1, 1), (6, 2)])
+@pytest.mark.parametrize("sample_count", [1, 4])
+@pytest.mark.parametrize("time_mode", ["sinusoidal", "scalar"])
+@pytest.mark.parametrize("kind, label_dim", [("drail", 0), ("drail", 4), ("drail", 10), ("diffail", 0)])
+def test_folded_first_layer_matches_explicit_rows(kind, label_dim, time_mode, sample_count, dims):
+    state_dim, action_dim = dims
+    kw = dict(hidden=(16, 16), time_embed_dim=8, T=60, sample_count=sample_count, seed=7, time_mode=time_mode)
+    if kind == "drail":
+        disc = build_drail(state_dim, action_dim, label_dim=label_dim, **kw)
+    else:
+        disc = build_diffail(state_dim, action_dim, **kw)
+    rng = np.random.default_rng(12)
+    expert = (rng.uniform(-1, 1, (9, state_dim)), rng.uniform(-1, 1, (9, action_dim)))
+    agent = (rng.uniform(-1, 1, (7, state_dim)), rng.uniform(-1, 1, (7, action_dim)))
+    states, actions = np.concatenate([expert[0], agent[0]]), np.concatenate([expert[1], agent[1]])
+    n, m, n_e, k = states.shape[0], sample_count, 9, len(disc.branch_labels)
+    den = disc.denoiser
+    inputs, eps = explicit_denoiser_rows(disc, states, actions, np.random.default_rng(3))
+    preds = nn_core.forward_batch(den.params, den.specs, inputs)
+    losses = np.mean((preds - eps) ** 2, axis=1).reshape(k, n, m).mean(axis=2)
+
+    if kind == "drail":
+        logits = drail_logit_batch(disc, states, actions, np.random.default_rng(3))
+        assert np.max(np.abs(logits - (losses[1] - losses[0]))) <= 1e-12
+        if label_dim == 0:
+            assert np.all(logits == 0.0)
+        want_loss, dz = disc_mod._logit_xent(losses[1] - losses[0], n_e)
+        per_row = np.repeat(dz / m, m)
+        coeffs = np.concatenate([-per_row, per_row])
+        loss, grad = drail_disc_loss(disc, expert, agent, np.random.default_rng(3))
+    else:
+        L = losses[0]
+        assert np.max(np.abs(diffail_loss_batch(disc, states, actions, np.random.default_rng(3)) - L)) <= 1e-12
+        La = np.maximum(L[n_e:], DIFFAIL_LOSS_FLOOR)
+        want_loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
+        dL = np.concatenate([np.full(n_e, 1.0 / n_e), -1.0 / np.expm1(La) / (n - n_e)])
+        coeffs = np.repeat(dL / m, m)
+        loss, grad = diffail_disc_loss(disc, expert, agent, np.random.default_rng(3))
+    assert abs(loss - want_loss) <= 1e-12
+    upstream = loss_grad_upstream(preds, eps, coeffs)
+    assert rel_err(grad, nn_core.backward_batch(den.params, den.specs, inputs, upstream)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["states", "actions"])
+@pytest.mark.parametrize("kind", ["drail", "gail", "diffail"])
+def test_non_finite_pairs_are_rejected_at_the_boundary(kind, where, bad):
+    disc = {"drail": build_drail(2, 1, label_dim=2, hidden=(4,), T=10),
+            "gail": build_gail(2, 1, hidden=(4,)),
+            "diffail": build_diffail(2, 1, hidden=(4,), T=10)}[kind]
+    states, actions = np.zeros((3, 2)), np.zeros((3, 1))
+    (states if where == "states" else actions)[1, 0] = bad
+    clean = (np.zeros((3, 2)), np.zeros((3, 1)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="non-finite"):
+        disc_mod.reward_for(disc, states, actions, rng)
+    with pytest.raises(ValueError, match="non-finite"):
+        disc_mod.discriminator_probs(disc, np.column_stack([states, actions]), rng, samples_per_point=2)
+    for expert, agent in (((states, actions), clean), (clean, (states, actions))):
+        with pytest.raises(ValueError, match="non-finite"):
+            disc.update(expert, agent, rng)

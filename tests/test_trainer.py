@@ -544,6 +544,21 @@ def test_train_nan_aborts_with_context(sine_expert_file):
         train(cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["drail", "gail", "diffail"])
+def test_train_non_finite_rollout_aborts_in_the_discriminator_update(sine_expert_file, monkeypatch, method, bad):
+    collect = trainer.collect_rollout
+
+    def poisoned(*args, **kwargs):
+        buffer = collect(*args, **kwargs)
+        buffer.states[5, 0] = bad
+        return buffer
+
+    monkeypatch.setattr(trainer, "collect_rollout", poisoned)
+    with pytest.raises(NumericalAbort, match="iteration 1, discriminator update: .*non-finite"):
+        train(_tiny_cfg(sine_expert_file, method=method))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_bc_nan_aborts(sine_expert_file):
     cfg = _tiny_cfg(sine_expert_file, method="bc", bc_epochs=3, bc_lr=1e308)
