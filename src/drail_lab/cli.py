@@ -2,8 +2,8 @@
 reward-landscape export, and artifact inspection.
 
 Every command resolves all randomness from explicit seeds, so identical
-invocations produce identical artifacts. Exit codes: 0 success, 2 usage or
-validation error, 3 numerical abort during training.
+invocations produce identical artifacts. Exit codes: 0 success, 2 usage,
+validation or out-of-memory error, 3 numerical abort during training.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -71,8 +71,7 @@ def noising(x0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSchedule) ->
         raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
     if not 0 <= t <= schedule.T:
         raise ValueError(f"t={t} outside [0, {schedule.T}]")
-    ab = schedule.alpha_bar[t]
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
+    return _noised(schedule, x0[None], np.asarray([t]), eps[None])[0]
 
 
 def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
@@ -203,9 +202,9 @@ def build_denoiser(
     )
 
 
-def _noised(model: Denoiser, x0_rows: np.ndarray, ts: np.ndarray, eps_rows: np.ndarray) -> np.ndarray:
+def _noised(schedule: NoiseSchedule, x0_rows: np.ndarray, ts: np.ndarray, eps_rows: np.ndarray) -> np.ndarray:
     """Rows corrupted to their levels: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
-    ab = model.schedule.alpha_bar[ts]
+    ab = schedule.alpha_bar[ts]
     return np.sqrt(ab)[:, None] * x0_rows + np.sqrt(1.0 - ab)[:, None] * eps_rows
 
 
@@ -297,9 +296,7 @@ def _branch_gradient(
     return grad
 
 
-def _row_predictions(
-    model: Denoiser, noised: np.ndarray, ts: np.ndarray, label_rows: np.ndarray, hs: list | None = None
-) -> np.ndarray:
+def _row_predictions(model: Denoiser, noised: np.ndarray, ts: np.ndarray, label_rows: np.ndarray) -> np.ndarray:
     """Noise predictions for noised rows, each with its own timestep and
     label row; a label row repeats one value over its label_dim columns."""
     n = noised.shape[0]
@@ -311,7 +308,7 @@ def _row_predictions(
     if np.any(label_rows != label):
         raise ValueError("each label row must repeat one value")
     terms, lookup = _time_terms(model, ts)
-    return _branch_predictions(model, noised, terms[lookup[ts]], (label if model.label_dim else 0.0,), hs)[0]
+    return _branch_predictions(model, noised, terms[lookup[ts]], (label if model.label_dim else 0.0,))[0]
 
 
 def batched_inputs(
@@ -325,7 +322,7 @@ def batched_inputs(
     features], the rows whose first-layer product the fold stands for."""
     ts = np.asarray(ts)
     features = model.time_features(ts)
-    noised = _noised(model, np.asarray(x0_rows, dtype=np.float64), ts, np.asarray(eps_rows, dtype=np.float64))
+    noised = _noised(model.schedule, np.asarray(x0_rows, dtype=np.float64), ts, np.asarray(eps_rows, dtype=np.float64))
     return np.concatenate([noised, label_rows, features], axis=1)
 
 
@@ -335,7 +332,6 @@ def batched_losses(
     ts: np.ndarray,
     eps_rows: np.ndarray,
     label_rows: np.ndarray,
-    hs: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row single-draw losses; returns (losses, inputs, predictions).
 
@@ -344,15 +340,11 @@ def batched_losses(
     runs the first-layer fold of _branch_predictions; each label row
     repeats one value, as ConditionLabel's do. ``inputs`` are the explicit
     rows the fold stands for (batched_inputs), for nn_core.backward_batch.
-    Given a list ``hs``, [inputs, h_1, ..., out] are collected there for
-    nn_core.backward_activations.
     """
     eps_rows = np.asarray(eps_rows, dtype=np.float64)
     label_rows = np.asarray(label_rows, dtype=np.float64)
     inputs = batched_inputs(model, x0_rows, ts, eps_rows, label_rows)
-    if hs is not None:
-        hs.append(inputs)
-    preds = _row_predictions(model, inputs[:, : model.data_dim], np.asarray(ts), label_rows, hs)
+    preds = _row_predictions(model, inputs[:, : model.data_dim], np.asarray(ts), label_rows)
     losses = np.mean((preds - eps_rows) ** 2, axis=1)
     return losses, inputs, preds
 
@@ -375,15 +367,11 @@ def predict_noise(
     label: ConditionLabel,
 ) -> np.ndarray:
     """Noise prediction for one corrupted (state, action) vector."""
-    s = np.asarray(s, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
-    if s.shape != (model.state_dim,) or a.shape != (model.action_dim,):
+    if np.shape(s) != (model.state_dim,) or np.shape(a) != (model.action_dim,):
         raise ValueError("state/action dims do not match the model")
     if x_t.shape != (model.data_dim,):
         raise ValueError(f"x_t must have length {model.data_dim}")
-    if label.embedding.shape != (model.label_dim,):
-        raise ValueError(f"label dim {label.embedding.size} != model label dim {model.label_dim}")
     return _row_predictions(model, x_t[None, :], np.asarray([t]), label.embedding[None, :])[0]
 
 

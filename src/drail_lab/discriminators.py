@@ -155,7 +155,7 @@ class _DenoisingDiscriminator:
         for lo in range(0, n * m, block):
             rows = slice(lo, lo + block)
             pairs = np.arange(lo, min(lo + block, n * m)) // m
-            noised = diffusion._noised(den, x0[pairs], ts[rows], eps[rows])
+            noised = diffusion._noised(den.schedule, x0[pairs], ts[rows], eps[rows])
             preds = diffusion._branch_predictions(den, noised, time_terms[lookup[ts[rows]]], self.branch_labels, hs)
             losses[:, rows] = np.mean((preds - eps[rows]) ** 2, axis=2)
         if not np.all(np.isfinite(losses)):
@@ -277,8 +277,7 @@ def drail_reward(clf: DrailClassifier, s: np.ndarray, a: np.ndarray, rng) -> flo
     """Log-odds reward. Algebraically log D - log(1 - D) collapses back to
     the loss gap itself, so the gap is returned directly (no sigmoid/log
     round trip, no saturation)."""
-    delta, _ = drail_logit(clf, s, a, rng)
-    return delta
+    return drail_logit(clf, s, a, rng)[0]
 
 
 def drail_disc_loss(
@@ -486,8 +485,7 @@ def diffail_reward_from_loss(L: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def diffail_reward(disc: DiffailDiscriminator, s: np.ndarray, a: np.ndarray, rng) -> float:
-    L = diffail_loss_batch(disc, s, a, rng)
-    return float(diffail_reward_from_loss(L)[0][0])
+    return float(diffail_reward_from_loss(diffail_loss_batch(disc, s, a, rng))[0][0])
 
 
 def diffail_disc_loss(

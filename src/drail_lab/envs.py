@@ -237,18 +237,11 @@ class Grid:
         return np.column_stack([s, a])
 
 
-def sine_grid(
-    s_resolution: int,
-    a_resolution: int,
-    s_range: tuple[float, float] = (0.0, 1.0),
-    a_range: tuple[float, float] = (-1.5, 1.5),
-) -> Grid:
+def sine_grid(s_resolution: int, a_resolution: int) -> Grid:
+    """The lattice over [0, 1] x [-1.5, 1.5]."""
     if s_resolution < 2 or a_resolution < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
-    return Grid(
-        np.linspace(s_range[0], s_range[1], s_resolution),
-        np.linspace(a_range[0], a_range[1], a_resolution),
-    )
+    return Grid(np.linspace(0.0, 1.0, s_resolution), np.linspace(-1.5, 1.5, a_resolution))
 
 
 # --- point-mass reach task ----------------------------------------------------
@@ -488,19 +481,11 @@ class SineWorld(_VectorEnv):
     _FIELDS = ("_s",)
     state_dim = 1
     action_dim = 1
+    spec = SineWorldSpec()
+    success_tol = 0.1
 
-    def __init__(
-        self,
-        seed: int = 0,
-        spec: SineWorldSpec | None = None,
-        success_tol: float = 0.1,
-        state_range: tuple[float, float] = (0.0, 1.0),
-        n_envs: int = 1,
-    ) -> None:
+    def __init__(self, seed: int = 0, n_envs: int = 1) -> None:
         super().__init__(seed, n_envs)
-        self.spec = spec if spec is not None else SineWorldSpec()
-        self.success_tol = float(success_tol)
-        self.state_range = (float(state_range[0]), float(state_range[1]))
         self._s = np.zeros(self.n_envs)
 
     def reset(self) -> np.ndarray:
@@ -510,7 +495,7 @@ class SineWorld(_VectorEnv):
         return self._step_single(action)
 
     def _start(self, rows: np.ndarray) -> None:
-        self._s[rows] = self._rng.uniform(*self.state_range, size=rows.size)
+        self._s[rows] = self._rng.uniform(0.0, 1.0, size=rows.size)
 
     def _observe(self) -> np.ndarray:
         return self._s[:, None].copy()

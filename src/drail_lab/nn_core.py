@@ -297,6 +297,9 @@ def backward(
     return backward_batch(params, specs, np.asarray(x)[None, :], np.asarray(upstream)[None, :])
 
 
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba 2015)
+
+
 @dataclass(frozen=True)
 class AdamState:
     """Adam moments for one ParamStore; immutable like the store itself."""
@@ -305,9 +308,6 @@ class AdamState:
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def fresh(cls, n: int, lr: float) -> "AdamState":
@@ -320,22 +320,22 @@ def _adam_apply(
     state: AdamState, step: int, values: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, lr_scale: float
 ) -> None:
     """Unchecked bias-corrected Adam step number ``step`` with the
-    hyper-parameters of ``state``, in place on the flat vector ``values``
+    learning rate of ``state``, in place on the flat vector ``values``
     and the moments ``m`` and ``v``, through two scratch arrays. The
     operations and their order are those of the textbook expression
     values -= lr * m_hat / (sqrt(v_hat) + epsilon)."""
-    a = np.multiply(g, 1.0 - state.beta1)
-    m *= state.beta1
+    a = np.multiply(g, 1.0 - _BETA1)
+    m *= _BETA1
     m += a
-    np.multiply(g, 1.0 - state.beta2, out=a)
+    np.multiply(g, 1.0 - _BETA2, out=a)
     a *= g
-    v *= state.beta2
+    v *= _BETA2
     v += a
-    np.divide(m, 1.0 - state.beta1**step, out=a)
+    np.divide(m, 1.0 - _BETA1**step, out=a)
     a *= state.lr * lr_scale
-    b = np.divide(v, 1.0 - state.beta2**step)
+    b = np.divide(v, 1.0 - _BETA2**step)
     np.sqrt(b, out=b)
-    b += state.epsilon
+    b += _EPSILON
     a /= b
     values -= a
 

@@ -77,10 +77,6 @@ def _logp_from_sq(sq: np.ndarray, log_std_sum) -> np.ndarray:
     return -0.5 * sq.sum(axis=1) - log_std_sum - 0.5 * sq.shape[1] * _LOG_2PI
 
 
-def _logp_policy_rows(policy: GaussianPolicy, means: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return _logp_rows(means, actions, np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))
-
-
 def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarray, float]:
     """Draw one action and its exact log-density."""
     mean = nn_core.forward(policy.mean_params, policy.specs, s)
@@ -88,7 +84,7 @@ def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarra
         raise NumericalAbort("policy mean is non-finite")
     std = np.exp(policy.log_std)
     action = mean + std * rng.standard_normal(policy.action_dim)
-    logp = float(_logp_policy_rows(policy, mean[None, :], action[None, :])[0])
+    logp = float(_logp_rows(mean[None, :], action[None, :], np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))[0])
     return action, logp
 
 
@@ -105,12 +101,12 @@ def policy_logp_entropy(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) ->
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (policy.action_dim,):
         raise ValueError(f"action must have length {policy.action_dim}")
-    mean = nn_core.forward(policy.mean_params, policy.specs, s)
-    return float(_logp_policy_rows(policy, mean[None, :], a[None, :])[0]), policy_entropy(policy)
+    return float(logp_batch(policy, np.asarray(s)[None, :], a[None, :])[0]), policy_entropy(policy)
 
 
 def logp_batch(policy: GaussianPolicy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return _logp_policy_rows(policy, policy_mean_batch(policy, states), np.asarray(actions, dtype=np.float64))
+    actions = np.asarray(actions, dtype=np.float64)
+    return _logp_rows(policy_mean_batch(policy, states), actions, np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))
 
 
 def policy_theta(policy: GaussianPolicy) -> np.ndarray:

@@ -498,6 +498,12 @@ def _build_discriminator(cfg: TrainConfig, state_dim: int, action_dim: int, seed
     return build_diffail(state_dim, action_dim, **kw)
 
 
+def _counters(n: int, cfg: TrainConfig) -> dict:
+    """What n iterations of the loop ran: each count is fixed by n and cfg."""
+    return {"iterations": n, "rollouts": n, "labelings": n, "gae_passes": n, "ppo_passes": n * cfg.ppo.epochs,
+            "disc_minibatches": n * math.ceil(cfg.ppo.rollout_steps / cfg.disc_batch)}
+
+
 def train(cfg: TrainConfig) -> TrainResult:
     """Run the full alternating loop (or the supervised bc branch) and
     return final nets plus the metrics log. Deterministic given cfg."""
@@ -528,9 +534,6 @@ def train(cfg: TrainConfig) -> TrainResult:
             stochastic=cfg.eval_stochastic,
         )
 
-    counters = {"iterations": 0, "rollouts": 0, "disc_minibatches": 0,
-                "labelings": 0, "gae_passes": 0, "ppo_passes": 0}
-
     if cfg.method == "bc":
         with _abort_scope(1, "behavior cloning"):
             policy = bc_train(dataset, policy, cfg.bc_epochs, cfg.bc_lr,
@@ -542,7 +545,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             "mean_reward": None, "success_rate": report.success_rate,
             "mean_return": report.mean_return, "clip_frac": None, "clamped_rewards": None,
         }]
-        return TrainResult(policy, vf, None, rows, metrics_to_csv(rows), counters, report)
+        return TrainResult(policy, vf, None, rows, metrics_to_csv(rows), _counters(0, cfg), report)
 
     disc = _build_discriminator(cfg, env.state_dim, env.action_dim, disc_seed)
     rollout_rng = np.random.default_rng(rollout_seed)
@@ -560,7 +563,6 @@ def train(cfg: TrainConfig) -> TrainResult:
         iteration += 1
         with _abort_scope(iteration, "rollout"):
             buffer = collect_rollout(env, policy, vf, rollout_len, rollout_rng)
-        counters["rollouts"] += 1
 
         disc_losses = []
         with _abort_scope(iteration, "discriminator update"):
@@ -572,12 +574,10 @@ def train(cfg: TrainConfig) -> TrainResult:
                 agent_batch = (buffer.states[idx], buffer.actions[idx])
                 disc, loss = disc.update(expert_batch, agent_batch, batch_rng)
                 disc_losses.append(loss)
-                counters["disc_minibatches"] += 1
 
         with _abort_scope(iteration, "reward labeling"):
             label_disc = disc.with_sample_count(cfg.reward_sample_count)
             buffer, label_stats = label_rewards(buffer, label_disc, label_rng)
-        counters["labelings"] += 1
 
         with _abort_scope(iteration, "advantage estimation"):
             # one recursion per env over its rows of the env-major buffer
@@ -593,12 +593,10 @@ def train(cfg: TrainConfig) -> TrainResult:
                 raise NumericalAbort("non-finite advantage")
             buffer.advantages = normalize_advantages(adv)
             buffer.returns = rets
-        counters["gae_passes"] += 1
 
         lr_scale = 1.0 - steps_done / cfg.total_env_steps
         with _abort_scope(iteration, "policy update"):
             policy, vf, opt, ppo_stats = ppo_update(policy, vf, buffer, cfg.ppo, ppo_rng, opt, lr_scale)
-        counters["ppo_passes"] += cfg.ppo.epochs
 
         steps_done += rollout_len
         final = steps_done >= cfg.total_env_steps
@@ -616,5 +614,4 @@ def train(cfg: TrainConfig) -> TrainResult:
             "clip_frac": ppo_stats["clip_frac"],
             "clamped_rewards": label_stats["clamped"],
         })
-    counters["iterations"] = iteration
-    return TrainResult(policy, vf, disc, rows, metrics_to_csv(rows), counters, report)
+    return TrainResult(policy, vf, disc, rows, metrics_to_csv(rows), _counters(iteration, cfg), report)

@@ -1,0 +1,87 @@
+"""No setting without a caller: every parameter with a default, on a
+function or an explicit ``__init__`` in src/drail_lab, must be passed by
+some call in src/, bench/ or tests/. A default that no call overrides is a
+constant with a knob on it.
+
+Calls are matched by name (a class's ``__init__`` by the class name), so
+two functions of one name share their callers. A parameter counts as
+passed when a call names it by keyword, reaches its position, or hands
+over ``*args`` or ``**kw``."""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "drail_lab")
+
+
+def _sources(*dirs):
+    for d in dirs:
+        for base, _, names in os.walk(os.path.join(ROOT, d)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(base, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read(), path)
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter with a default; a keyword-only
+    one has position None. A method's positions skip self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = int(method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _declared():
+    """(where, callee name, parameter, position) for every defaulted parameter."""
+    for path, tree in _sources(os.path.join("src", "drail_lab")):
+        module = os.path.relpath(path, PACKAGE)
+        classes = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = classes.get(id(fn))
+            callee = owner.name if owner is not None and fn.name == "__init__" else fn.name
+            for name, pos in _defaulted(fn, owner is not None):
+                yield f"{module}:{fn.lineno} {callee}({name}=)", callee, name, pos
+
+
+def _calls():
+    """callee name -> list of (keyword names, positional count, spreads)."""
+    calls: dict[str, list] = {}
+    for _, tree in _sources(os.path.join("src", "drail_lab"), "bench", "tests"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            double_star = any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append((keywords, len(node.args), star, double_star))
+    return calls
+
+
+def _passed(uses, name, pos) -> bool:
+    for keywords, n_positional, star, double_star in uses:
+        if name in keywords or double_star:
+            return True
+        if pos is not None and (star or n_positional > pos):
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    declared = list(_declared())
+    # a scan that finds nothing would pass vacuously
+    assert any(callee == "PointReach" and name == "noise_scale" for _, callee, name, _ in declared)
+    calls = _calls()
+    unused = [where for where, callee, name, pos in declared if not _passed(calls.get(callee, []), name, pos)]
+    assert not unused, "defaulted parameters no call passes:\n" + "\n".join(unused)

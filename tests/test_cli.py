@@ -408,6 +408,23 @@ def test_oversized_trailer_field_exits_2_naming_the_field(tmp_path, kind, field,
             assert field in proc.stderr
 
 
+def test_request_too_large_for_memory_exits_2(tmp_path):
+    disc, pol = tmp_path / "d.drlp", tmp_path / "p.drlp"
+    save_discriminator(str(disc), _small_discriminators()["gail"])
+    save_policy(str(pol), build_policy(6, 2, (8, 8), seed=0))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    # each asks numpy for one array far past the limit, which fails at once
+    for argv in (["reward-map", str(disc), "--resolution", "100000x100000", "-o", str(tmp_path / "m.csv")],
+                 ["eval", str(pol), "--env", "point_reach", "--episodes", "10000000000"],
+                 ["gen-expert", "--env", "sine", "--n", "10000000000", "-o", str(tmp_path / "s.drld")],
+                 ["gen-expert", "--env", "point_reach", "--n", "1000000000", "-o", str(tmp_path / "r.drld")]):
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
+        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+
+
 def test_inspect_truncated_discriminator_checkpoints_exit_0_or_2(tmp_path):
     # every prefix of each kind's file: a clean report or a usage error,
     # never an exception out of main

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drail_lab import envs, trainer
-from drail_lab.discriminators import build_drail, build_gail, drail_update, reward_for
+from drail_lab.discriminators import DrailClassifier, build_drail, build_gail, drail_update, reward_for
 from drail_lab.envs import SineWorldSpec, dataset_save, gen_expert_dataset, make_env, sine_expert_sample, sine_grid
 from drail_lab.errors import NumericalAbort
 from drail_lab.policy_opt import (
@@ -421,16 +421,25 @@ def test_metrics_csv_format():
 # --- the training loop ----------------------------------------------------------
 
 
-def test_train_single_iteration_counters(sine_expert_file):
-    result = train(_tiny_cfg(sine_expert_file))
+@pytest.mark.parametrize("overrides, n, minibatches", [
+    ({}, 1, 2),  # 64-step rollout / 32-sample batches
+    ({"total_env_steps": 128, "disc_batch": 24}, 2, 6),  # ceil(64 / 24) = 3 batches per iteration
+], ids=["one_iteration", "ragged_batches"])
+def test_train_single_iteration_counters(sine_expert_file, monkeypatch, overrides, n, minibatches):
+    # the counts are derived from n and cfg; the spy checks them against the updates run
+    updates = []
+    real_update = DrailClassifier.update
+    monkeypatch.setattr(DrailClassifier, "update", lambda *a: updates.append(1) or real_update(*a))
+    result = train(_tiny_cfg(sine_expert_file, **overrides))
     c = result.counters
-    assert c["iterations"] == 1
-    assert c["rollouts"] == 1 and c["labelings"] == 1 and c["gae_passes"] == 1
-    assert c["disc_minibatches"] == 2  # 64-step rollout / 32-sample batches
-    assert c["ppo_passes"] == 2
-    assert len(result.metrics) == 1
-    row = result.metrics[0]
-    assert row["env_steps"] == 64 and row["iter"] == 1
+    assert len(updates) == minibatches
+    assert c["iterations"] == n
+    assert c["rollouts"] == n and c["labelings"] == n and c["gae_passes"] == n
+    assert c["disc_minibatches"] == minibatches
+    assert c["ppo_passes"] == 2 * n  # epochs=2 per iteration
+    assert len(result.metrics) == n
+    row = result.metrics[-1]
+    assert row["env_steps"] == 64 * n and row["iter"] == n
     # the final iteration always evaluates
     assert row["success_rate"] is not None
     assert result.final_eval is not None
