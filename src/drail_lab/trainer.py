@@ -252,7 +252,8 @@ def evaluate(
             def act(obs):
                 return np.array([policy(o) for o in obs])
         else:
-            act = policy_actor(policy, stochastic, np.random.default_rng(sub_seed))
+            # its own stream: make_env draws the start states from default_rng(sub_seed)
+            act = policy_actor(policy, stochastic, np.random.default_rng([sub_seed, 1]))
         obs = env.reset_rows(np.arange(episodes_here))
         wins = 0
         while env.n_envs:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,25 @@ def test_ppo_first_ratio_is_one_and_stats_sane():
     assert stats["initial_ratio_err"] < 1e-9
     assert 0.0 <= stats["clip_frac"] <= 1.0
     assert math.isfinite(stats["ppo_loss"])
+
+
+def test_ppo_approx_kl_is_the_last_epochs_mean_log_ratio():
+    # one minibatch of all rows, drawn from the policy: epoch 1 scores the
+    # rows before any step, so its KL is 0; epoch 2 scores them with the
+    # policy after epoch 1's single step, which an epochs=1 update from the
+    # same rng state returns
+    policy = build_policy(2, 1, hidden=(8,), seed=3)
+    vf = build_value_fn(2, hidden=(8,), seed=4)
+    buffer = _make_buffer(policy, vf, np.random.default_rng(5), n=48, state_dim=2,
+                          reward_fn=lambda s, a: -(a[:, 0] ** 2))
+    one = PpoConfig(minibatch_size=48, epochs=1, lr=1e-2)
+    p1, _, _, stats = ppo_update(policy, vf, buffer, one, np.random.default_rng(6))
+    assert abs(stats["approx_kl"]) <= 1e-12 and stats["epochs"] == 1
+    _, _, _, stats = ppo_update(policy, vf, buffer, replace(one, epochs=2), np.random.default_rng(6))
+    want = float(np.mean(buffer.log_probs - po.logp_batch(p1, buffer.states, buffer.actions)))
+    assert abs(want) > 1e-6  # the step moved the policy
+    assert stats["approx_kl"] == pytest.approx(want, abs=1e-12)
+    assert stats["epochs"] == 2
 
 
 def test_ppo_bandit_converges_to_optimum():

@@ -364,6 +364,32 @@ def test_evaluate_deterministic():
     assert r1 == r2
 
 
+def test_evaluate_stochastic_actor_has_its_own_stream(monkeypatch):
+    # each eval stream's action noise must not replay the words that drew
+    # its start states
+    env_rngs, actor_rngs = [], []
+    real_actor = trainer.policy_actor
+
+    def spy_env(*args, **kw):
+        env = make_env(*args, **kw)
+        env_rngs.append(copy.deepcopy(env._rng))
+        return env
+
+    def spy_actor(policy, stochastic, rng):
+        actor_rngs.append(copy.deepcopy(rng))
+        return real_actor(policy, stochastic, rng)
+
+    monkeypatch.setattr(trainer, "make_env", spy_env)
+    monkeypatch.setattr(trainer, "policy_actor", spy_actor)
+    policy = build_policy(6, 2, hidden=(8,), seed=0)
+    evaluate(policy, "point_reach", 4, seed=7, stochastic=True, n_seeds=2)
+    assert len(env_rngs) == len(actor_rngs) == 2
+    for sub_seed, env_rng, actor_rng in zip((7, 8), env_rngs, actor_rngs):
+        env_draws = env_rng.standard_normal(8)
+        assert np.array_equal(env_draws, np.random.default_rng(sub_seed).standard_normal(8))
+        assert not np.any(actor_rng.standard_normal(8) == env_draws)
+
+
 # --- reward landscape ---------------------------------------------------------
 
 
