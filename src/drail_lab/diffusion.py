@@ -18,8 +18,6 @@ import numpy as np
 from . import nn_core
 from .nn_core import LayerSpec, ParamStore
 
-TIME_MODES = ("sinusoidal", "scalar")
-
 # frequency span of the sinusoidal time features
 _MAX_FREQ = 1000.0
 
@@ -143,14 +141,9 @@ class Denoiser:
     label_dim: int
     time_embed_dim: int
     schedule: NoiseSchedule
-    time_mode: str = "sinusoidal"
 
     def __post_init__(self) -> None:
-        if self.time_mode not in TIME_MODES:
-            raise ValueError(f"time_mode must be one of {TIME_MODES}")
-        if self.time_mode == "scalar" and self.time_embed_dim != 1:
-            raise ValueError("scalar time mode uses a single t/T feature (time_embed_dim=1)")
-        if self.time_mode == "sinusoidal" and self.time_embed_dim % 2 != 0:
+        if self.time_embed_dim % 2 != 0:
             raise ValueError("sinusoidal time embedding dim must be even")
         want_in = self.state_dim + self.action_dim + self.label_dim + self.time_embed_dim
         if self.specs[0].in_dim != want_in:
@@ -169,8 +162,6 @@ class Denoiser:
         """Feature rows of integer timesteps ts, each in [0, T]."""
         ts = np.asarray(ts)
         _check_timesteps(ts, self.schedule.T)
-        if self.time_mode == "scalar":
-            return (ts / self.schedule.T)[:, None]
         return _time_table(self.schedule.T, self.time_embed_dim)[ts]
 
 
@@ -183,11 +174,8 @@ def build_denoiser(
     T: int = 1000,
     s_offset: float = 0.008,
     seed: int = 0,
-    time_mode: str = "sinusoidal",
 ) -> Denoiser:
     """Denoiser with relu hidden layers and an identity output layer."""
-    if time_mode == "scalar":
-        time_embed_dim = 1
     in_dim = state_dim + action_dim + label_dim + time_embed_dim
     specs = nn_core.mlp_specs((in_dim, *hidden, state_dim + action_dim), "relu")
     return Denoiser(
@@ -198,7 +186,6 @@ def build_denoiser(
         label_dim=label_dim,
         time_embed_dim=time_embed_dim,
         schedule=build_cosine_schedule(T, s_offset),
-        time_mode=time_mode,
     )
 
 

@@ -40,8 +40,6 @@ DIFFAIL_REWARD_FLOOR = -20.0
 # Discriminator files are the nn-core block plus a trailer: the class's
 # kind code (u8), then kind-specific metadata (dims, schedule parameters,
 # draw count, learning rate), packed little-endian.
-_TIME_MODE_CODE = {"sinusoidal": 0, "scalar": 1}
-_TIME_MODE_NAME = {v: k for k, v in _TIME_MODE_CODE.items()}
 _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
@@ -182,7 +180,7 @@ class _DenoisingDiscriminator:
             den.action_dim,
             den.label_dim,
             den.time_embed_dim,
-            _TIME_MODE_CODE[den.time_mode],
+            0,  # the time-mode byte: sinusoidal time features, the only encoding
             den.schedule.T,
             den.schedule.s_offset,
             self.sample_count,
@@ -194,7 +192,7 @@ class _DenoisingDiscriminator:
         if len(meta) != _DIFFUSION_META.size:
             raise ValueError(f"corrupt {cls.kind} checkpoint trailer")
         s_dim, a_dim, label_dim, te_dim, tm, T, s_offset, m, lr = _DIFFUSION_META.unpack(meta)
-        if tm not in _TIME_MODE_NAME:
+        if tm != 0:
             raise ValueError(f"corrupt {cls.kind} checkpoint trailer: unknown time_mode code {tm}")
         for name, value, limit in (("T", T, MAX_SCHEDULE_STEPS), ("sample_count", m, MAX_SAMPLE_COUNT)):
             if value > limit:
@@ -207,7 +205,6 @@ class _DenoisingDiscriminator:
             label_dim=label_dim,
             time_embed_dim=te_dim,
             schedule=build_cosine_schedule(T, s_offset),
-            time_mode=_TIME_MODE_NAME[tm],
         )
         return cls(den, AdamState.fresh(len(params), lr), m)
 
@@ -246,9 +243,8 @@ def build_drail(
     lr: float = 1e-3,
     sample_count: int = 1,
     seed: int = 0,
-    time_mode: str = "sinusoidal",
 ) -> DrailClassifier:
-    den = build_denoiser(state_dim, action_dim, label_dim, hidden, time_embed_dim, T, s_offset, seed, time_mode)
+    den = build_denoiser(state_dim, action_dim, label_dim, hidden, time_embed_dim, T, s_offset, seed)
     return DrailClassifier(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 
@@ -453,9 +449,8 @@ def build_diffail(
     lr: float = 1e-3,
     sample_count: int = 1,
     seed: int = 0,
-    time_mode: str = "sinusoidal",
 ) -> DiffailDiscriminator:
-    den = build_denoiser(state_dim, action_dim, 0, hidden, time_embed_dim, T, s_offset, seed, time_mode)
+    den = build_denoiser(state_dim, action_dim, 0, hidden, time_embed_dim, T, s_offset, seed)
     return DiffailDiscriminator(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 

@@ -66,13 +66,11 @@ class ParamStore:
     """Immutable flat parameter vector with named layer views.
 
     ``values`` is marked read-only; use :meth:`with_values` to produce an
-    updated snapshot. ``seed`` records the init seed (-1 when restored from
-    a checkpoint).
+    updated snapshot.
     """
 
     values: np.ndarray
     layout: tuple[LayerView, ...]
-    seed: int = -1
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -139,7 +137,7 @@ def init_params(specs: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Pa
         bound = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         chunks.append(rng.uniform(-bound, bound, size=spec.out_dim * spec.in_dim))
         chunks.append(np.zeros(spec.out_dim))
-    return ParamStore(np.concatenate(chunks), layout_for(specs), seed=seed)
+    return ParamStore(np.concatenate(chunks), layout_for(specs))
 
 
 def _as_batch(x: np.ndarray, width: int, what: str) -> np.ndarray:

@@ -123,15 +123,22 @@ def policy_with_theta(policy: GaussianPolicy, theta: np.ndarray) -> GaussianPoli
     )
 
 
+def _logp_grad_rows(layers: tuple, hs: list, w: np.ndarray, scaled: np.ndarray, sq: np.ndarray, grad) -> None:
+    """Write sum_i w_i * d logp_i / d[mean net | log_std] into ``grad`` for the rows of a mean-net walk that
+    collected ``hs``, with ``scaled`` = (a - mean) * exp(-2 log_std) and ``sq`` = (a - mean)**2 * exp(-2 log_std)."""
+    nn_core._backward(layers, hs, w[:, None] * scaled, grad)
+    grad[grad.size - sq.shape[1]:] = w @ (sq - 1.0)
+
+
 def logp_grad(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient of the log-density w.r.t. [mean net | log_std]."""
-    a = np.asarray(a, dtype=np.float64)
-    mean = nn_core.forward(policy.mean_params, policy.specs, s)
+    """Gradient of the log-density w.r.t. [mean net | log_std], ppo_update's gradient on one row."""
+    hs: list[np.ndarray] = []
+    diff = np.asarray(a, dtype=np.float64) - nn_core.forward_batch(policy.mean_params, policy.specs, s, hs)
     inv_var = np.exp(-2.0 * policy.log_std)
-    d_mean = (a - mean) * inv_var
-    g_net = nn_core.backward(policy.mean_params, policy.specs, s, d_mean)
-    g_log_std = (a - mean) ** 2 * inv_var - 1.0
-    return np.concatenate([g_net, g_log_std])
+    grad = np.empty(len(policy.mean_params) + policy.action_dim)
+    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    _logp_grad_rows(layers, hs, np.ones(1), diff * inv_var, diff**2 * inv_var, grad)
+    return grad
 
 
 # --- value function -----------------------------------------------------
@@ -261,18 +268,6 @@ class PpoConfig:
             raise ValueError("lr must be >= 0")
 
 
-@dataclass(frozen=True)
-class PpoOptimizer:
-    """Adam moments of the flat [mean net | log_std | critic] vector that
-    ppo_update trains."""
-
-    adam: AdamState
-
-    @classmethod
-    def fresh(cls, policy: GaussianPolicy, vf: ValueFn, lr: float) -> "PpoOptimizer":
-        return cls(AdamState.fresh(len(policy.mean_params) + policy.action_dim + len(vf.params), lr))
-
-
 def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip: float) -> np.ndarray:
     """Per-sample pessimistic surrogate min(r*A, clip(r)*A)."""
     ratio = np.asarray(ratio, dtype=np.float64)
@@ -293,14 +288,14 @@ def ppo_update(
     buffer: RolloutBuffer,
     cfg: PpoConfig,
     rng,
-    opt: PpoOptimizer | None = None,
+    opt: AdamState | None = None,
     lr_scale: float = 1.0,
-) -> tuple[GaussianPolicy, ValueFn, PpoOptimizer, dict]:
+) -> tuple[GaussianPolicy, ValueFn, AdamState, dict]:
     """Epochs of shuffled-minibatch updates on the clipped surrogate plus
     value regression and an entropy bonus. Returns fresh snapshots, the
-    advanced optimizer, and per-update stats. Their ``approx_kl`` is the
-    mean of logp_old - logp_new over the last epoch's rows, each row's
-    logp_new taken before its minibatch's step."""
+    advanced Adam moments ``opt`` (fresh when None) and per-update stats.
+    Their ``approx_kl`` is the mean of logp_old - logp_new over the last
+    epoch's rows, each row's logp_new taken before its minibatch's step."""
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("buffer advantages must be computed before ppo_update")
     adv = buffer.advantages
@@ -316,20 +311,18 @@ def ppo_update(
                       ("advantages", adv), ("returns", returns)):
         if not np.all(np.isfinite(arr)):
             raise NumericalAbort(f"buffer {name} is non-finite")
-    if opt is None:
-        opt = PpoOptimizer.fresh(policy, vf, cfg.lr)
-
     n = len(buffer)
     n_mean = len(policy.mean_params)
     n_pol = n_mean + policy.action_dim
+    if opt is None:
+        opt = AdamState.fresh(n_pol + len(vf.params), cfg.lr)
     # one flat [mean net | log_std | critic] vector with its layer views, a
     # gradient buffer of the same layout and the Adam moments, all updated
     # in place; the snapshots are built once, after the last minibatch
     params = np.concatenate([policy.mean_params.values, policy.log_std, vf.params.values])
-    adam = opt.adam
-    if adam.m.shape != params.shape:
-        raise ValueError(f"optimizer length {adam.m.size} != policy and critic length {params.size}")
-    m, v, step = adam.m.copy(), adam.v.copy(), adam.step
+    if opt.m.shape != params.shape:
+        raise ValueError(f"optimizer length {opt.m.size} != policy and critic length {params.size}")
+    m, v, step = opt.m.copy(), opt.v.copy(), opt.step
     log_std = params[n_mean:n_pol]
     p_layers = nn_core._layers(params, policy.mean_params.layout, policy.specs)
     v_layers = nn_core._layers(params[n_pol:], vf.params.layout, vf.specs)
@@ -372,16 +365,15 @@ def ppo_update(
 
             # gradient flows only where the unclipped branch attains the min
             dsurr_dlogp = np.where(unclipped <= clipped, unclipped, 0.0) / nb
-            upstream = -dsurr_dlogp[:, None] * (diff * inv_var)
-            nn_core._backward(p_layers, p_hs, upstream, grad)
-            g_ls[:] = -dsurr_dlogp @ (sq - 1.0) - cfg.entropy_coef
+            _logp_grad_rows(p_layers, p_hs, -dsurr_dlogp, diff * inv_var, sq, g_policy)
+            g_ls -= cfg.entropy_coef
             _clip_norm_inplace(g_policy, MAX_GRAD_NORM)
             dv = (2.0 * cfg.value_coef / nb) * (values - ret_mb)
             nn_core._backward(v_layers, v_hs, dv[:, None], g_value)
             _clip_norm_inplace(g_value, MAX_GRAD_NORM)
 
             step += 1
-            nn_core._adam_apply(adam, step, params, m, v, grad, lr_scale)
+            nn_core._adam_apply(opt, step, params, m, v, grad, lr_scale)
             # the bounds GaussianPolicy puts on log_std, kept on the flat vector
             np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX, out=log_std)
             if not (math.isfinite(total_loss) and np.all(np.isfinite(params))):
@@ -404,7 +396,7 @@ def ppo_update(
         "approx_kl": kl_sum / n,
         "epochs": cfg.epochs,
     }
-    return policy, vf, PpoOptimizer(replace(adam, m=m, v=v, step=step)), stats
+    return policy, vf, replace(opt, m=m, v=v, step=step), stats
 
 
 # --- checkpoints --------------------------------------------------------------

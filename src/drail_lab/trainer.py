@@ -24,7 +24,6 @@ from .errors import NumericalAbort
 from .policy_opt import (
     GaussianPolicy,
     PpoConfig,
-    PpoOptimizer,
     RolloutBuffer,
     ValueFn,
     _logp_rows,
@@ -81,7 +80,6 @@ class TrainConfig:
     disc_batch: int = 128
     label_dim: int = 10
     time_embed_dim: int = 16
-    time_mode: str = "sinusoidal"
     schedule_steps: int = 1000
     s_offset: float = 0.008
     sample_count: int = 1
@@ -435,7 +433,6 @@ def grid_to_csv(grid: RewardGrid) -> str:
 @dataclass
 class TrainResult:
     policy: GaussianPolicy
-    value_fn: ValueFn
     discriminator: object | None
     metrics: list[dict]
     csv_text: str
@@ -492,7 +489,6 @@ def _build_discriminator(cfg: TrainConfig, state_dim: int, action_dim: int, seed
         lr=cfg.disc_lr,
         sample_count=cfg.sample_count,
         seed=seed,
-        time_mode=cfg.time_mode,
     )
     if cfg.method == "drail":
         return build_drail(state_dim, action_dim, label_dim=cfg.label_dim, **kw)
@@ -546,14 +542,14 @@ def train(cfg: TrainConfig) -> TrainResult:
             "mean_reward": None, "success_rate": report.success_rate,
             "mean_return": report.mean_return, "clip_frac": None, "clamped_rewards": None,
         }]
-        return TrainResult(policy, vf, None, rows, metrics_to_csv(rows), _counters(0, cfg), report)
+        return TrainResult(policy, None, rows, metrics_to_csv(rows), _counters(0, cfg), report)
 
     disc = _build_discriminator(cfg, env.state_dim, env.action_dim, disc_seed)
     rollout_rng = np.random.default_rng(rollout_seed)
     batch_rng = np.random.default_rng(batch_seed)
     label_rng = np.random.default_rng(label_seed)
     ppo_rng = np.random.default_rng(ppo_seed)
-    opt: PpoOptimizer | None = None
+    opt: nn_core.AdamState | None = None
 
     rows: list[dict] = []
     report: EvalReport | None = None
@@ -615,4 +611,4 @@ def train(cfg: TrainConfig) -> TrainResult:
             "clip_frac": ppo_stats["clip_frac"],
             "clamped_rewards": label_stats["clamped"],
         })
-    return TrainResult(policy, vf, disc, rows, metrics_to_csv(rows), _counters(iteration, cfg), report)
+    return TrainResult(policy, disc, rows, metrics_to_csv(rows), _counters(iteration, cfg), report)

@@ -6,10 +6,19 @@ constant with a knob on it.
 Calls are matched by name (a class's ``__init__`` by the class name), so
 two functions of one name share their callers. A parameter counts as
 passed when a call names it by keyword, reaches its position, or hands
-over ``*args`` or ``**kw``."""
+over ``*args`` or ``**kw``.
+
+No config key without a reader: every field of TrainConfig and PpoConfig
+must be read as ``cfg.<name>`` in a function of src/drail_lab that
+annotates its ``cfg`` with that class, or as ``cfg.ppo.<name>``. A field
+that is only validated and written to the manifest is a key nothing uses."""
 
 import ast
+import dataclasses
 import os
+
+from drail_lab.policy_opt import PpoConfig
+from drail_lab.trainer import TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "drail_lab")
@@ -85,3 +94,35 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     calls = _calls()
     unused = [where for where, callee, name, pos in declared if not _passed(calls.get(callee, []), name, pos)]
     assert not unused, "defaulted parameters no call passes:\n" + "\n".join(unused)
+
+
+def _config_reads() -> dict[str, set[str]]:
+    """Config class name -> the attribute names read off a ``cfg`` of that
+    class in src/drail_lab."""
+    reads: dict[str, set[str]] = {}
+
+    def visit(node, cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                if a.arg == "cfg" and isinstance(a.annotation, ast.Name):
+                    cls = a.annotation.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id == "cfg" and cls is not None:
+                reads.setdefault(cls, set()).add(node.attr)
+            elif (isinstance(base, ast.Attribute) and base.attr == "ppo"
+                  and isinstance(base.value, ast.Name) and base.value.id == "cfg"):
+                reads.setdefault("PpoConfig", set()).add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for _, tree in _sources(os.path.join("src", "drail_lab")):
+        visit(tree, None)
+    return reads
+
+
+def test_every_config_field_is_read():
+    reads = _config_reads()
+    unread = [f"{cls.__name__}.{f.name}" for cls in (TrainConfig, PpoConfig) for f in dataclasses.fields(cls)
+              if f.name not in reads.get(cls.__name__, ())]
+    assert not unread, "config fields nothing reads:\n" + "\n".join(unread)

@@ -170,6 +170,7 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("horizon=0", "horizon"),
     ("schedule_steps=100001", "schedule_steps"),  # past what a checkpoint may declare
     ("sample_count=129", "sample_count"),
+    ('time_mode="scalar"', "time_mode"),  # the key of manifests written before the one time encoding
 ])
 def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
     cfg_path = tmp_path / "cfg.json"
@@ -369,13 +370,17 @@ def test_unknown_time_mode_code_exits_2_naming_the_field(tmp_path, capsys, kind)
     path = tmp_path / "d.drlp"
     save_discriminator(str(path), _small_discriminators()[kind])
     data = bytearray(path.read_bytes())
-    # the time-mode byte: 16 bytes (four u32 dims) into the 41-byte
-    # metadata that ends the file
-    data[-41 + 16] = 7
-    path.write_bytes(bytes(data))
-    assert run_cli("reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")) == 2
-    assert "time_mode" in capsys.readouterr().err
-    assert run_cli("inspect", str(path)) in (0, 2)
+    # the time-mode byte, 16 bytes (four u32 dims) into the 41-byte metadata
+    # that ends the file, is always 0; 1 was the code of a scalar encoding
+    assert data[-41 + 16] == 0
+    for code in (1, 7):
+        data[-41 + 16] = code
+        path.write_bytes(bytes(data))
+        assert run_cli("reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time_mode" in err
+        assert run_cli("inspect", str(path)) in (0, 2)
+        capsys.readouterr()
 
 
 # runs argv[1:] through cli.main under a 2 GiB address-space limit, so a

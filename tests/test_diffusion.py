@@ -145,9 +145,8 @@ def test_time_features_table_equals_per_row_features_bitwise(T, dim):
         assert model.time_features(np.array([t])).tobytes() == one.tobytes()
 
 
-@pytest.mark.parametrize("time_mode", ["sinusoidal", "scalar"])
-def test_time_features_reject_timesteps_outside_the_schedule(time_mode):
-    model = build_denoiser(1, 1, 0, hidden=(4,), T=10, time_mode=time_mode)
+def test_time_features_reject_timesteps_outside_the_schedule():
+    model = build_denoiser(1, 1, 0, hidden=(4,), T=10)
     for bad in ([-1], [11], [3, -1, 4], [0, 11]):
         with pytest.raises(ValueError, match="outside"):
             model.time_features(np.array(bad))
@@ -193,14 +192,6 @@ def test_predict_noise_dim_mismatch():
         predict_noise(model, np.zeros(3), np.zeros(1), np.zeros(3), 1, real_label(3))
     with pytest.raises(ValueError):
         predict_noise(model, np.zeros(2), np.zeros(1), np.zeros(3), 1, real_label(5))
-
-
-def test_scalar_time_mode():
-    model = build_denoiser(1, 1, 2, hidden=(4,), time_mode="scalar", T=100)
-    assert model.time_embed_dim == 1
-    feats = model.time_features(np.array([50]))
-    assert feats.shape == (1, 1)
-    assert feats[0, 0] == 0.5
 
 
 # --- single-draw loss -------------------------------------------------------

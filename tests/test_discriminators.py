@@ -522,16 +522,18 @@ def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows)
 
 
 # the fold against the explicit rows [noised | label | time features]
-# through the whole network: both time modes, drail with 0, 4 and 10 label
-# columns and diffail, one and four draws, sine's 1-D and point_reach's 6+2
-# dims
+# through the whole network: drail with 0, 4 and 10 label columns and
+# diffail, one and four draws, sine's 1-D and point_reach's 6+2 dims; the
+# ids name the sinusoidal time features every case runs with
+_FOLD_KINDS = [("drail", 0), ("drail", 4), ("drail", 10), ("diffail", 0)]
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (6, 2)])
 @pytest.mark.parametrize("sample_count", [1, 4])
-@pytest.mark.parametrize("time_mode", ["sinusoidal", "scalar"])
-@pytest.mark.parametrize("kind, label_dim", [("drail", 0), ("drail", 4), ("drail", 10), ("diffail", 0)])
-def test_folded_first_layer_matches_explicit_rows(kind, label_dim, time_mode, sample_count, dims):
+@pytest.mark.parametrize("kind, label_dim", _FOLD_KINDS, ids=[f"{k}-{d}-sinusoidal" for k, d in _FOLD_KINDS])
+def test_folded_first_layer_matches_explicit_rows(kind, label_dim, sample_count, dims):
     state_dim, action_dim = dims
-    kw = dict(hidden=(16, 16), time_embed_dim=8, T=60, sample_count=sample_count, seed=7, time_mode=time_mode)
+    kw = dict(hidden=(16, 16), time_embed_dim=8, T=60, sample_count=sample_count, seed=7)
     if kind == "drail":
         disc = build_drail(state_dim, action_dim, label_dim=label_dim, **kw)
     else:
