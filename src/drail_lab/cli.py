@@ -200,15 +200,13 @@ def _describe_checkpoint(path: str) -> str:
     dims = [specs[0].in_dim] + [spec.out_dim for spec in specs]
     arch = "->".join(str(d) for d in dims)
     head = f"checkpoint: layers {arch}, {len(params)} parameters"
-    try:
-        disc = load_discriminator(path)
-        return f"{head}, kind {disc.kind} ({disc.describe()})"
-    except ValueError:  # a policy's log_std or an unknown trailer
-        pass
-    if trailer and len(trailer) % 8 == 0:
+    # a policy's trailer is its log_std, 8 bytes per action; a
+    # discriminator's (17 or 42 bytes) is never a multiple of 8
+    if len(trailer) == 8 * specs[-1].out_dim:
         log_std = np.frombuffer(trailer, dtype="<f8")
         return f"{head}, kind policy (log_std={np.array2string(log_std, precision=4)})"
-    return f"{head}, kind unknown ({len(trailer)} trailer bytes)"
+    disc = load_discriminator(path)
+    return f"{head}, kind {disc.kind} ({disc.describe()})"
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

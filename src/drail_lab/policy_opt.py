@@ -331,9 +331,7 @@ def ppo_update(
 
     ratio_sum = 0.0
     clip_count = 0
-    sample_count = 0
     loss_sum = 0.0
-    batch_count = 0
     initial_ratio_err = None
 
     for _ in range(cfg.epochs):
@@ -381,16 +379,15 @@ def ppo_update(
 
             ratio_sum += float(np.sum(ratio))
             clip_count += int(np.sum(np.abs(ratio - 1.0) > cfg.clip))
-            sample_count += nb
             loss_sum += total_loss
-            batch_count += 1
 
     policy = replace(policy, mean_params=policy.mean_params.with_values(params[:n_mean]), log_std=log_std)
     vf = replace(vf, params=vf.params.with_values(params[n_pol:]))
+    batch_count = cfg.epochs * math.ceil(n / cfg.minibatch_size)
     stats = {
         "ppo_loss": loss_sum / batch_count,
-        "mean_ratio": ratio_sum / sample_count,
-        "clip_frac": clip_count / sample_count,
+        "mean_ratio": ratio_sum / (cfg.epochs * n),
+        "clip_frac": clip_count / (cfg.epochs * n),
         "entropy": policy_entropy(policy),
         "initial_ratio_err": initial_ratio_err,
         "approx_kl": kl_sum / n,

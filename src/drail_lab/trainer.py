@@ -38,7 +38,6 @@ from .policy_opt import (
 METHODS = ("drail", "gail", "diffail", "bc")
 
 REWARD_CLAMP = 20.0
-_LABEL_CHUNK = 512
 # lockstep envs of a training run: math.gcd(rollout_steps, _N_ENVS), so
 # every env fills the same number of rollout rows
 _N_ENVS = 16
@@ -325,20 +324,9 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
 
 
 def label_rewards(buffer: RolloutBuffer, disc, rng) -> tuple[RolloutBuffer, dict]:
-    """Fill buffer.rewards with the clamped method reward.
-
-    Work is split into fixed-size chunks, each with a seed derived from
-    (root, chunk), so the draws of a chunk do not depend on the others.
-    """
-    n = len(buffer)
-    root = int(rng.integers(0, 2**63))
-    parts = []
-    for lo in range(0, n, _LABEL_CHUNK):
-        rows = slice(lo, lo + _LABEL_CHUNK)
-        chunk_rng = np.random.default_rng(np.random.SeedSequence((root, lo // _LABEL_CHUNK)))
-        parts.append(reward_for(disc, buffer.states[rows], buffer.actions[rows], chunk_rng))
-    raw = np.concatenate([p[0] for p in parts])
-    saturated = sum(p[1] for p in parts)
+    """Fill buffer.rewards with the clamped method reward, scored in one
+    call on ``rng``."""
+    raw, saturated = reward_for(disc, buffer.states, buffer.actions, rng)
     if not np.all(np.isfinite(raw)):
         raise NumericalAbort("non-finite reward from the discriminator")
     clamped = int(np.sum(np.abs(raw) > REWARD_CLAMP))
@@ -381,9 +369,10 @@ def bc_train(
             idx = order[start : start + batch_size]
             S = dataset.states[idx]
             A = dataset.actions[idx]
-            pred = nn_core.forward_batch(params, policy.specs, S)
+            hs: list[np.ndarray] = []
+            pred = nn_core.forward_batch(params, policy.specs, S, hs)
             upstream = (2.0 / (idx.size * d_out)) * (pred - A)
-            grad = nn_core.backward_batch(params, policy.specs, S, upstream)
+            grad = nn_core.backward_activations(params, policy.specs, hs, upstream)
             params, opt = nn_core.adam_step(opt, params, grad)
     return replace(policy, mean_params=params)
 
@@ -553,11 +542,10 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     rows: list[dict] = []
     report: EvalReport | None = None
-    steps_done = 0
-    iteration = 0
     rollout_len = cfg.ppo.rollout_steps
-    while steps_done < cfg.total_env_steps:
-        iteration += 1
+    n_iterations = math.ceil(cfg.total_env_steps / rollout_len)
+    for iteration in range(1, n_iterations + 1):
+        steps_done = iteration * rollout_len
         with _abort_scope(iteration, "rollout"):
             buffer = collect_rollout(env, policy, vf, rollout_len, rollout_rng)
 
@@ -591,13 +579,11 @@ def train(cfg: TrainConfig) -> TrainResult:
             buffer.advantages = normalize_advantages(adv)
             buffer.returns = rets
 
-        lr_scale = 1.0 - steps_done / cfg.total_env_steps
+        lr_scale = 1.0 - (steps_done - rollout_len) / cfg.total_env_steps
         with _abort_scope(iteration, "policy update"):
             policy, vf, opt, ppo_stats = ppo_update(policy, vf, buffer, cfg.ppo, ppo_rng, opt, lr_scale)
 
-        steps_done += rollout_len
-        final = steps_done >= cfg.total_env_steps
-        eval_due = final or (steps_done // cfg.eval_interval) > ((steps_done - rollout_len) // cfg.eval_interval)
+        eval_due = iteration == n_iterations or (steps_done // cfg.eval_interval) > ((steps_done - rollout_len) // cfg.eval_interval)
         if eval_due:
             report = run_eval(policy)
         rows.append({
@@ -611,4 +597,4 @@ def train(cfg: TrainConfig) -> TrainResult:
             "clip_frac": ppo_stats["clip_frac"],
             "clamped_rewards": label_stats["clamped"],
         })
-    return TrainResult(policy, disc, rows, metrics_to_csv(rows), _counters(iteration, cfg), report)
+    return TrainResult(policy, disc, rows, metrics_to_csv(rows), _counters(n_iterations, cfg), report)

@@ -11,11 +11,17 @@ over ``*args`` or ``**kw``.
 No config key without a reader: every field of TrainConfig and PpoConfig
 must be read as ``cfg.<name>`` in a function of src/drail_lab that
 annotates its ``cfg`` with that class, or as ``cfg.ppo.<name>``. A field
-that is only validated and written to the manifest is a key nothing uses."""
+that is only validated and written to the manifest is a key nothing uses.
+
+No private name without a user: every module-level function, class or
+constant of src/drail_lab whose name starts with one underscore must be
+read somewhere in src/ outside its own definition, as a bare name or as
+an attribute (``nn_core._forward``). Matched by name, like the callers."""
 
 import ast
 import dataclasses
 import os
+from collections import Counter
 
 from drail_lab.policy_opt import PpoConfig
 from drail_lab.trainer import TrainConfig
@@ -126,3 +132,42 @@ def test_every_config_field_is_read():
     unread = [f"{cls.__name__}.{f.name}" for cls in (TrainConfig, PpoConfig) for f in dataclasses.fields(cls)
               if f.name not in reads.get(cls.__name__, ())]
     assert not unread, "config fields nothing reads:\n" + "\n".join(unread)
+
+
+def _private_definitions():
+    """(where, name, definition node) for each module-level private name."""
+    for path, tree in _sources(os.path.join("src", "drail_lab")):
+        module = os.path.relpath(path, PACKAGE)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield f"{module}:{node.lineno} {name}", name, node
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in ``tree``, bare or as an attribute."""
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+    return reads
+
+
+def test_every_private_name_is_used():
+    reads: Counter = Counter()
+    for _, tree in _sources(os.path.join("src", "drail_lab")):
+        reads += _reads(tree)
+    declared = list(_private_definitions())
+    # a scan that finds nothing would pass vacuously
+    assert any(name == "_FORWARD_BLOCK" for _, name, _ in declared)
+    unused = [where for where, name, node in declared if reads[name] - _reads(node)[name] <= 0]
+    assert not unused, "private names nothing in src/ uses:\n" + "\n".join(unused)

@@ -379,8 +379,9 @@ def test_unknown_time_mode_code_exits_2_naming_the_field(tmp_path, capsys, kind)
         assert run_cli("reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "time_mode" in err
-        assert run_cli("inspect", str(path)) in (0, 2)
-        capsys.readouterr()
+        assert run_cli("inspect", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time_mode" in err
 
 
 # runs argv[1:] through cli.main under a 2 GiB address-space limit, so a
@@ -404,13 +405,12 @@ def test_oversized_trailer_field_exits_2_naming_the_field(tmp_path, kind, field,
     path.write_bytes(bytes(data))
     src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    for argv, codes in ((["reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")], (2,)),
-                        (["inspect", str(path)], (0, 2))):
+    for argv in (["reward-map", str(path), "--resolution", "5x5", "-o", str(tmp_path / "g.csv")],
+                 ["inspect", str(path)]):
         proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
-        assert proc.returncode in codes and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
-        if proc.returncode == 2:
-            assert field in proc.stderr
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
+        assert field in proc.stderr
 
 
 def test_request_too_large_for_memory_exits_2(tmp_path):
@@ -441,6 +441,71 @@ def test_inspect_truncated_discriminator_checkpoints_exit_0_or_2(tmp_path):
         for n in range(len(data)):
             cut.write_bytes(data[:n])
             assert run_cli("inspect", str(cut)) in (0, 2), (kind, n)
+
+
+def _policy_bytes(tmp_path):
+    path = tmp_path / "p.drlp"
+    save_policy(str(path), build_policy(1, 1, (4,), seed=0))
+    return bytearray(path.read_bytes())
+
+
+def _set_bytes(data, offset, value: bytes):
+    data[offset : offset + len(value)] = value
+    return bytes(data)
+
+
+def _dataset_bytes(tmp_path):
+    path = tmp_path / "s.drld"
+    assert run_cli("gen-expert", "--env", "sine", "--n", "5", "-o", str(path)) == 0
+    return bytearray(path.read_bytes())
+
+
+def _unknown_activation(tmp_path):
+    # the first layer's activation byte follows magic, version, layer count,
+    # its name (u32 length, then UTF-8) and its two u32 dims
+    data = _policy_bytes(tmp_path)
+    name_len = int.from_bytes(data[12:16], "little")
+    return _set_bytes(data, 16 + name_len + 8, bytes([9]))
+
+
+def _unknown_kind(tmp_path):
+    path = tmp_path / "g.drlp"
+    save_discriminator(str(path), _small_discriminators()["gail"])
+    data = bytearray(path.read_bytes())
+    # the kind code opens the 17-byte gail trailer
+    return _set_bytes(data, len(data) - 17, bytes([9]))
+
+
+def _bad_done_flag(tmp_path):
+    # a transition record ends with its done byte
+    data = _dataset_bytes(tmp_path)
+    return _set_bytes(data, len(data) - 1, bytes([2]))
+
+
+# (how to corrupt a valid file, what the error names). After the 4-byte
+# magic, a DRLP header holds its version (u32 LE); a DRLD header holds its
+# version, state_dim and action_dim (u32 LE), then the count (u64 LE)
+CORRUPT_FILES = {
+    "drlp-version": (lambda p: _set_bytes(_policy_bytes(p), 4, (7).to_bytes(4, "little")),
+                     "unsupported checkpoint version 7"),
+    "drlp-activation": (_unknown_activation, "unknown activation code 9"),
+    "discriminator-kind": (_unknown_kind, "unknown discriminator kind 9"),
+    "drld-short-header": (lambda p: bytes(_dataset_bytes(p)[:10]), "truncated dataset header"),
+    "drld-empty-dims": (lambda p: _set_bytes(_dataset_bytes(p), 8, (0).to_bytes(4, "little")),
+                        "dataset header declares empty dimensions"),
+    "drld-done-flag": (_bad_done_flag, "done flags must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
+def test_inspect_corrupt_file_exits_2_naming_the_fault(tmp_path, capsys, case):
+    corrupt, fault = CORRUPT_FILES[case]
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(corrupt(tmp_path))
+    capsys.readouterr()
+    assert run_cli("inspect", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fault in err, err
 
 
 def test_inspect_unknown_format(tmp_path, capsys):

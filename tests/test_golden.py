@@ -38,10 +38,11 @@ CASES = {
                                 ppo={"rollout_steps": 256, "minibatch_size": 64, "epochs": 3})),
 }
 
-# The drail and diffail runs were last re-recorded when the denoiser's
-# first layer was folded (data, time and label terms computed apart, the
-# time terms once per distinct timestep): their floats moved in the last
-# bits. The gail and bc runs and the expert datasets did not move.
+# The drail and diffail runs were last re-recorded when reward labeling
+# began to score a rollout in one call on the label stream, where it had
+# drawn each 512-row chunk from a seed of its own: their label draws, and
+# so every artifact but final_eval.json, moved. The gail runs, whose
+# rewards draw nothing, the bc run and the expert datasets did not move.
 GOLDEN = {
     "bc-point_reach": {
         "metrics.csv": "9096cfd4aa728bb45e5d43d268156923b0e3165a529380484f7cde47b584d41e",
@@ -49,21 +50,21 @@ GOLDEN = {
         "final_eval.json": "b98cf1ebb3bcc69678e2b2ee2caacd3853c2e7d3fdf66ae06f2da33593c149de",
     },
     "diffail-point_reach": {
-        "metrics.csv": "52ecb35c740516547595e6383af3f3081081ea5148c750514690c487826542db",
-        "policy.drlp": "8210f3b0d28386777844a565973cc0768679199ff9e2c70f79dc35ff1ac6de0a",
-        "discriminator.drlp": "3522fe47d00e3cb5f03c81a83f0246af49792a2fcef3fe401ec983b5ac4805b2",
+        "metrics.csv": "39be882fdf434d37ed5a0daf62f36c934735f97213a87c4ed3101e9f3dddb083",
+        "policy.drlp": "f68d93ee80f1acde2d02ee013f6025ef38c80cb16b47b2df32133e1fbb3283cf",
+        "discriminator.drlp": "238f500b9a1711258c950a4e5d2f881f8e611da0a5f13a7728be87ab2fde59b0",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-point_reach": {
-        "metrics.csv": "c9f937a1273b04c9d1ba47c05133fcc5b6e1e3569f2f15309b738ed5c765a496",
-        "policy.drlp": "c29a535609ad6232a9a5bb5a644c02e4fa4c4696207aec12469a5dadd24de181",
-        "discriminator.drlp": "06ac700b975b74a4aec281ee470aa008112cc1ad96e26450ab2e1078fcfea791",
+        "metrics.csv": "45c99dfeb9714eaedcf960d85cdb3f8b0206bde80016cc6b41c1cfbf5e0b5687",
+        "policy.drlp": "5ab3295e39798c8fa31707b6d049134a508046f10e71eeba18ae547f42bb7750",
+        "discriminator.drlp": "432a7daf4e3ef264f7dd05cdfd6b105054fd45e88cff43b1ef7674a953ac2eff",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-sine": {
-        "metrics.csv": "5053fd760d65f932475153c6f8e1967dc3bc645430b7ae3d8ea33a323c3a9856",
-        "policy.drlp": "94490dfbe9a99d2e5b3db779e9187fed9a7f0789bdaa1087f879ac092438a0c0",
-        "discriminator.drlp": "15a1c9e20073652e2167279c08320e8dd294f49f5a41b6078872d8176c2561d3",
+        "metrics.csv": "801a639e7131a5d2c5a34eca656a14fd6f8c68401f6ee5a3002a707a6bffabea",
+        "policy.drlp": "06b998e17d963fa53b8aaedb021490c23b7817890f57bbde7d7220eaac5a861d",
+        "discriminator.drlp": "7f5a3d6c15e615cc4a8e2c5d466da155ebf7a43d648ca38e6babddedc92a66fa",
         "final_eval.json": "c8e8b9918ae39e3cf8baf0ef762b9b4aa35c027c9bab1824e6393753285195e4",
     },
     "gail-point_reach": {

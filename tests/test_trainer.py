@@ -272,20 +272,17 @@ def test_label_rewards_bounded():
     assert np.all(np.abs(buf.rewards) <= 20.0)
 
 
-def test_label_rewards_draws_each_chunk_from_its_own_seed():
-    # 1100 rows: two full 512-row chunks and a partial last one
-    clf = build_drail(2, 1, hidden=(8, 8), T=10, seed=3)
+def test_label_rewards_scores_the_rollout_in_one_call():
+    # 1100 rows, once three 512-row label chunks with seeds of their own;
+    # at 4 draws a row they span two of the denoiser walk's 4096-draw blocks
+    clf = build_drail(2, 1, hidden=(8, 8), T=10, sample_count=4, seed=3)
     buf = _random_buffer(1100, 2, 1, seed=6)
     rng = np.random.default_rng(7)
-    root = int(copy.deepcopy(rng).integers(0, 2**63))
+    ref_rng = copy.deepcopy(rng)
+    expected, _ = reward_for(clf, buf.states, buf.actions, ref_rng)
     buf, _ = label_rewards(buf, clf, rng)
-    expected = [
-        reward_for(clf, buf.states[lo : lo + 512], buf.actions[lo : lo + 512],
-                   np.random.default_rng(np.random.SeedSequence((root, c))))[0]
-        for c, lo in enumerate(range(0, 1100, 512))
-    ]
-    assert [len(e) for e in expected] == [512, 512, 76]
-    assert np.array_equal(buf.rewards, np.clip(np.concatenate(expected), -20.0, 20.0))
+    assert np.array_equal(buf.rewards, np.clip(expected, -20.0, 20.0))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_trained_classifier_prefers_expert_pairs():
