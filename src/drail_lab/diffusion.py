@@ -143,6 +143,9 @@ class Denoiser:
     schedule: NoiseSchedule
 
     def __post_init__(self) -> None:
+        for name in ("label_dim", "time_embed_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.time_embed_dim % 2 != 0:
             raise ValueError("sinusoidal time embedding dim must be even")
         want_in = self.state_dim + self.action_dim + self.label_dim + self.time_embed_dim

@@ -10,16 +10,18 @@ reward-landscape export over the sine world.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import envs, nn_core
 from .discriminators import (MAX_SAMPLE_COUNT, MAX_SCHEDULE_STEPS, build_diffail, build_drail, build_gail,
                              discriminator_probs, reward_for)
-from .envs import ExpertDataset, Grid, dataset_load, make_env, truncate_trajectories, truncate_transitions
+from .envs import ExpertDataset, Grid, dataset_load, make_env, truncate_trajectories
 from .errors import NumericalAbort
 from .policy_opt import (
     GaussianPolicy,
@@ -72,30 +74,30 @@ class TrainConfig:
     horizon: int = 200
     wall: bool = False
     max_expert_trajectories: int | None = None
-    max_expert_transitions: int | None = None
     # discriminator
     disc_lr: float = 1e-3
     disc_hidden: tuple[int, ...] = (64, 64)
     disc_batch: int = 128
-    label_dim: int = 10
-    time_embed_dim: int = 16
     schedule_steps: int = 1000
-    s_offset: float = 0.008
     sample_count: int = 1
     reward_sample_count: int = 4
     # policy and critic
     ppo: PpoConfig = PpoConfig()
     policy_hidden: tuple[int, ...] = (64, 64)
     value_hidden: tuple[int, ...] = (64, 64)
-    init_log_std: float = -0.5
     # behavior cloning
     bc_epochs: int = 200
     bc_lr: float = 1e-3
-    bc_batch: int = 64
     # evaluation
     eval_interval: int = 50_000
     eval_episodes: int = 50
     eval_stochastic: bool = False
+    max_expert_transitions: ClassVar[None] = None
+    label_dim: ClassVar[int] = 10
+    time_embed_dim: ClassVar[int] = 16
+    s_offset: ClassVar[float] = 0.008
+    init_log_std: ClassVar[float] = -0.5
+    bc_batch: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -105,15 +107,18 @@ class TrainConfig:
         if self.method != "bc" and self.total_env_steps < self.ppo.rollout_steps:
             raise ValueError("total_env_steps must cover at least one rollout")
         for name in ("horizon", "disc_batch", "schedule_steps", "sample_count", "reward_sample_count",
-                     "eval_interval", "eval_episodes", "bc_epochs", "bc_batch"):
+                     "eval_interval", "eval_episodes", "bc_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # limits of the discriminator checkpoint, so a run never writes one it cannot load
         for name, limit in (("schedule_steps", MAX_SCHEDULE_STEPS), ("sample_count", MAX_SAMPLE_COUNT)):
             if getattr(self, name) > limit:
                 raise ValueError(f"{name} must be <= {limit}")
-        if not self.noise_scale >= 0.0:
-            raise ValueError("noise_scale must be >= 0")
+        if self.max_expert_trajectories is not None and self.max_expert_trajectories < 1:
+            raise ValueError("max_expert_trajectories must be >= 1")
+        for name in ("seed", "noise_scale", "disc_lr", "bc_lr"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("disc_hidden", "policy_hidden", "value_hidden"):
             object.__setattr__(self, name, tuple(int(w) for w in getattr(self, name)))
 
@@ -144,14 +149,18 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def _config_kwargs(cls, data: dict, prefix: str = "") -> dict:
-    """Type-checked constructor arguments for ``cls`` from decoded JSON;
-    errors name the offending key."""
+    """Type-checked constructor arguments for ``cls`` from decoded JSON; errors
+    name the offending key. A class constant's key passes only at its value."""
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         name = prefix + key
         if key not in fields:
-            raise ValueError(f"unknown config key {name!r}")
+            if key not in cls.__annotations__:
+                raise ValueError(f"unknown config key {name!r}")
+            if (fixed := json.dumps(getattr(cls, key))) != json.dumps(value):
+                raise ValueError(f"config key {name!r} is fixed at {fixed}, got {value!r}")
+            continue
         if fields[key] == "PpoConfig":
             if not isinstance(value, dict):
                 raise ValueError(f"config key {name!r} must be a JSON object, got {value!r}")
@@ -461,8 +470,6 @@ def _load_expert(cfg: TrainConfig) -> ExpertDataset:
     dataset = dataset_load(cfg.expert_path)
     if cfg.max_expert_trajectories is not None:
         dataset = truncate_trajectories(dataset, cfg.max_expert_trajectories)
-    if cfg.max_expert_transitions is not None:
-        dataset = truncate_transitions(dataset, cfg.max_expert_transitions)
     return dataset
 
 

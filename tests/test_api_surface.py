@@ -13,6 +13,14 @@ must be read as ``cfg.<name>`` in a function of src/drail_lab that
 annotates its ``cfg`` with that class, or as ``cfg.ppo.<name>``. A field
 that is only validated and written to the manifest is a key nothing uses.
 
+No config key without a setter: every field of TrainConfig and PpoConfig
+must be set somewhere in tests/ or bench/: as a keyword to ``TrainConfig``,
+``PpoConfig``, a function defined there or a ``dict`` whose keywords all
+name config fields; as a string dict key (``{"seed": 1}`` or
+``cfg["seed"] = 1``); or in a ``key=value`` or ``ppo.key=value`` override
+string. A keyword to a builder of src/ (``build_drail(label_dim=4)``) does
+not set the key.
+
 No private name without a user: every module-level function, class or
 constant of src/drail_lab whose name starts with one underscore must be
 read somewhere in src/ outside its own definition, as a bare name or as
@@ -21,6 +29,7 @@ an attribute (``nn_core._forward``). Matched by name, like the callers."""
 import ast
 import dataclasses
 import os
+import re
 from collections import Counter
 
 from drail_lab.policy_opt import PpoConfig
@@ -132,6 +141,42 @@ def test_every_config_field_is_read():
     unread = [f"{cls.__name__}.{f.name}" for cls in (TrainConfig, PpoConfig) for f in dataclasses.fields(cls)
               if f.name not in reads.get(cls.__name__, ())]
     assert not unread, "config fields nothing reads:\n" + "\n".join(unread)
+
+
+def _config_sets(fields: set[str]) -> set[str]:
+    """The names of ``fields`` that tests/ and bench/ set as config keys."""
+    trees = [tree for _, tree in _sources("tests", "bench")]
+    setters = {"TrainConfig", "PpoConfig", "dict"} | {
+        fn.name for tree in trees for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    sets: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                # a dict of builder arguments (hidden=, T=) is no config
+                if name in setters and (name != "dict" or keywords <= fields):
+                    sets |= keywords
+            elif isinstance(node, ast.Dict):
+                sets.update(k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
+                    sets.add(node.slice.value)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                override = re.match(r"(?:ppo\.)?(\w+)=", node.value)
+                if override:
+                    sets.add(override.group(1))
+    return sets & fields
+
+
+def test_every_config_field_is_set_somewhere():
+    fields = [(cls.__name__, f.name) for cls in (TrainConfig, PpoConfig) for f in dataclasses.fields(cls)]
+    sets = _config_sets({name for _, name in fields})
+    # a scan that finds nothing would pass vacuously
+    assert {"rollout_steps", "epochs"} <= sets
+    unset = [f"{cls}.{name}" for cls, name in fields if name not in sets]
+    assert not unset, "config fields no test or benchmark sets:\n" + "\n".join(unset)
 
 
 def _private_definitions():

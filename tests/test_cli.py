@@ -171,6 +171,13 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("schedule_steps=100001", "schedule_steps"),  # past what a checkpoint may declare
     ("sample_count=129", "sample_count"),
     ('time_mode="scalar"', "time_mode"),  # the key of manifests written before the one time encoding
+    ("seed=-1", "seed"),
+    ("disc_lr=-1", "disc_lr"),
+    ("bc_lr=-1", "bc_lr"),  # a drail run never reads it, yet it must be valid
+    ("max_expert_trajectories=0", "max_expert_trajectories"),
+    ("ppo.gamma=0.9", "ppo.gamma"),  # retired keys pass only at their fixed values
+    ("label_dim=-1", "label_dim"),
+    ("time_embed_dim=-2", "time_embed_dim"),
 ])
 def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
     cfg_path = tmp_path / "cfg.json"
@@ -178,6 +185,7 @@ def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsy
     assert run_cli("train", "--config", str(cfg_path), "-o", str(tmp_path / "r"), "--set", override) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "r")  # rejected before the run starts
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -163,6 +163,14 @@ def test_denoiser_shapes():
     assert model.specs[-1].activation == "identity"
 
 
+def test_denoiser_rejects_negative_dims():
+    # the input width stays positive, so only the dims check stops these
+    with pytest.raises(ValueError, match="label_dim"):
+        build_denoiser(1, 1, -1)
+    with pytest.raises(ValueError, match="time_embed_dim"):
+        build_denoiser(1, 1, 2, time_embed_dim=-2)
+
+
 def test_predict_noise_zero_net():
     model = build_denoiser(1, 1, 4, hidden=(8,), time_embed_dim=4)
     model = model.with_params(model.params.with_values(np.zeros(len(model.params))))

@@ -87,6 +87,12 @@ def _sign_separating_classifier():
 # --- drail logits, probs, rewards -----------------------------------------
 
 
+def test_build_drail_rejects_negative_label_dim():
+    # its checkpoint packs label_dim as u32; the build fails before any run
+    with pytest.raises(ValueError, match="label_dim"):
+        build_drail(1, 1, label_dim=-1)
+
+
 def test_drail_logit_zero_for_unconditional_model():
     clf = build_drail(1, 1, label_dim=0, hidden=(8,), T=20, seed=4)
     delta, draw = drail_logit(clf, np.array([0.3]), np.array([-0.5]), np.random.default_rng(0))

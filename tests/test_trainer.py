@@ -93,6 +93,20 @@ def test_config_unknown_keys_are_named():
         config_from_dict({"ppo": {"clips": 0.3}})
 
 
+def test_retired_keys_at_their_fixed_values_change_nothing(sine_expert_file):
+    # the ten keys a manifest could carry before they became class constants
+    retired = {"max_expert_transitions": None, "label_dim": 10, "time_embed_dim": 16, "s_offset": 0.008,
+               "init_log_std": -0.5, "bc_batch": 64}
+    retired_ppo = {"clip": 0.2, "gamma": 0.99, "gae_lambda": 0.95, "value_coef": 0.5}
+    data = json.loads(json.dumps(config_to_dict(_tiny_cfg(sine_expert_file))))
+    assert not (set(retired) & set(data) or set(retired_ppo) & set(data["ppo"]))
+    old = dict(data, **retired, ppo=dict(data["ppo"], **retired_ppo))
+    a, b = train(config_from_dict(data)), train(config_from_dict(old))
+    assert a.csv_text == b.csv_text
+    for pa, pb in ((a.policy.mean_params.values, b.policy.mean_params.values), (a.policy.log_std, b.policy.log_std)):
+        assert pa.tobytes() == pb.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="valid methods"):
         TrainConfig(method="dqn")
