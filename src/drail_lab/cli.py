@@ -9,6 +9,7 @@ validation or out-of-memory error, 3 numerical abort during training.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -136,7 +137,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         artifacts["discriminator"] = disc_path
     if result.final_eval is not None:
         eval_path = os.path.join(args.out, "final_eval.json")
-        _write_json(eval_path, result.final_eval.to_dict())
+        _write_json(eval_path, dataclasses.asdict(result.final_eval))
         artifacts["final_eval"] = eval_path
     _write_json(os.path.join(args.out, "manifest.json"),
                 _manifest("train", cfg.seed, config_to_dict(cfg), artifacts))
@@ -164,7 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         stochastic=args.stochastic,
         n_seeds=args.n_seeds,
     )
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return 0
 
 
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     rm = sub.add_parser("reward-map", help="export the discriminator landscape over the sine grid")
     rm.add_argument("checkpoint")
     rm.add_argument("--resolution", default="101x121", help="s-by-a lattice, e.g. 101x121")
-    rm.add_argument("--samples", type=int, default=4, help="diffusion draws per cell")
+    rm.add_argument("--samples", type=int, default=4, help="probabilities per cell, each from sample_count draws")
     rm.add_argument("--seed", type=int, default=0)
     rm.add_argument("-o", "--out", required=True, help="CSV output path")
     rm.set_defaults(func=cmd_reward_map)

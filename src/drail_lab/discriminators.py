@@ -61,18 +61,12 @@ def softplus(x):
 
 
 def _check_batch(batch: tuple[np.ndarray, np.ndarray], state_dim: int, action_dim: int, who: str):
-    states = np.asarray(batch[0], dtype=np.float64)
-    actions = np.asarray(batch[1], dtype=np.float64)
-    if states.ndim == 1:
-        states = states[None, :]
-    if actions.ndim == 1:
-        actions = actions[None, :]
+    states = nn_core._as_batch(batch[0], state_dim, f"{who} states")
+    actions = nn_core._as_batch(batch[1], action_dim, f"{who} actions")
     if states.shape[0] == 0:
         raise ValueError(f"empty {who} batch")
-    if states.shape != (states.shape[0], state_dim) or actions.shape != (states.shape[0], action_dim):
-        raise ValueError(f"{who} batch dims do not match the discriminator")
-    if not (np.isfinite(states).all() and np.isfinite(actions).all()):
-        raise ValueError(f"{who} batch contains non-finite entries")
+    if actions.shape[0] != states.shape[0]:
+        raise ValueError(f"{who} batch has {states.shape[0]} states but {actions.shape[0]} actions")
     return states, actions
 
 
@@ -167,6 +161,11 @@ class _DenoisingDiscriminator:
         ts, eps = draw
         upstream = diffusion.loss_grad_upstream(preds, eps, coeffs).reshape(-1, eps.shape[1])
         return diffusion._branch_gradient(self.denoiser, hs, noised, ts, upstream, self.branch_labels)
+
+    def _adam_step(self, grad: np.ndarray):
+        """The snapshot after one Adam step of the denoiser along ``grad``."""
+        params, opt = adam_step(self.optimizer, self.denoiser.params, grad)
+        return replace(self, denoiser=self.denoiser.with_params(params), optimizer=opt)
 
     def describe(self) -> str:
         return (f"state_dim={self.state_dim}, action_dim={self.action_dim}, label_dim={self.denoiser.label_dim}, "
@@ -305,8 +304,7 @@ def drail_update(
 ) -> tuple[DrailClassifier, float]:
     """One Adam step on the classifier loss; returns (new snapshot, loss)."""
     loss, grad = drail_disc_loss(clf, expert_batch, agent_batch, rng)
-    params, opt = adam_step(clf.optimizer, clf.denoiser.params, grad)
-    return replace(clf, denoiser=clf.denoiser.with_params(params), optimizer=opt), loss
+    return clf._adam_step(grad), loss
 
 
 # --- gail -------------------------------------------------------------------
@@ -512,16 +510,15 @@ def diffail_update(
     rng,
 ) -> tuple[DiffailDiscriminator, float]:
     loss, grad = diffail_disc_loss(disc, expert_batch, agent_batch, rng)
-    params, opt = adam_step(disc.optimizer, disc.denoiser.params, grad)
-    return replace(disc, denoiser=disc.denoiser.with_params(params), optimizer=opt), loss
+    return disc._adam_step(grad), loss
 
 
 # --- kind-blind entry points ----------------------------------------------
 
 
 def discriminator_probs(disc, points: np.ndarray, rng, samples_per_point: int = 1) -> np.ndarray:
-    """Mean expert-probability per (state | action) row, averaged over
-    samples_per_point independent draws (gail is deterministic)."""
+    """Mean expert-probability per (state | action) row over samples_per_point
+    probabilities, each made from disc.sample_count draws (gail: one, no draws)."""
     points = np.asarray(points, dtype=np.float64)
     states = points[:, : disc.state_dim]
     actions = points[:, disc.state_dim :]

@@ -348,6 +348,22 @@ def scripted_expert(state: PointReachState) -> np.ndarray:
     return scripted_actor(observe(state))
 
 
+def _run_episodes(env, actor):
+    """Run one episode per row of ``env`` in lockstep, started in row order,
+    until all are done, with ``actor`` mapping observation rows to action
+    rows. Yields each step's episode ids, observations, actions and success
+    flags; a success ends its episode, so each episode flags at most once."""
+    rows = np.arange(env.n_envs)  # the episode each env row runs
+    obs = env.reset_rows(rows)
+    while rows.size:
+        action = actor(obs)
+        next_obs, done, success = env.step_rows(action)
+        yield rows, obs, action, success
+        left = np.flatnonzero(~done)
+        env.keep_rows(left)
+        rows, obs = rows[left], next_obs[left]
+
+
 def gen_expert_dataset(
     n_trajectories: int,
     rng: np.random.Generator,
@@ -376,24 +392,13 @@ def gen_expert_dataset(
         k = min(n_trajectories - successes, max_attempts - attempts)
         attempts += k
         env = PointReach(seed=rng, noise_scale=noise_scale, horizon=horizon, wall=wall, n_envs=k)
-        obs = env.reset_rows(np.arange(k))
-        rows = np.arange(k)  # the attempt each env row runs
-        frames = []
-        success = np.zeros(k, dtype=bool)
-        while rows.size:
-            action = scripted_actor(obs)
-            frames.append((rows, obs, action))
-            obs, done, success[rows] = env.step_rows(action)
-            left = np.flatnonzero(~done)
-            env.keep_rows(left)
-            rows, obs = rows[left], obs[left]
+        ids, states, actions, won = (np.concatenate(parts) for parts in zip(*_run_episodes(env, scripted_actor)))
         # the successful attempts in attempt order, each episode in step order
-        ids, states, actions = (np.concatenate(parts) for parts in zip(*frames))
         order = np.argsort(ids, kind="stable")
-        order = order[success[ids[order]]]
+        order = order[np.isin(ids[order], ids[won])]
         dones = np.diff(ids[order], append=-1) != 0
         kept.append((states[order], actions[order], dones))
-        successes += int(success.sum())
+        successes += int(won.sum())
     if successes < n_trajectories or 2 * successes < attempts:
         raise RuntimeError(
             f"scripted expert success rate too low: {successes}/{attempts} attempts succeeded"

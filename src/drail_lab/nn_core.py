@@ -384,17 +384,14 @@ def params_to_bytes(params: ParamStore, specs: tuple[LayerSpec, ...]) -> bytes:
 def params_from_bytes(buf: bytes) -> tuple[ParamStore, tuple[LayerSpec, ...], bytes]:
     """Parse a core block; returns (params, specs, trailing bytes)."""
 
-    def need(n: int, what: str) -> None:
-        if len(buf) - pos[0] < n:
-            raise ValueError(f"truncated checkpoint: expected {n} more bytes for {what}, got {len(buf) - pos[0]}")
-
-    pos = [0]
+    pos = 0
 
     def take(n: int, what: str) -> bytes:
-        need(n, what)
-        chunk = buf[pos[0] : pos[0] + n]
-        pos[0] += n
-        return chunk
+        nonlocal pos
+        if len(buf) - pos < n:
+            raise ValueError(f"truncated checkpoint: expected {n} more bytes for {what}, got {len(buf) - pos}")
+        pos += n
+        return buf[pos - n : pos]
 
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError("bad magic: not a DRLP checkpoint")
@@ -416,7 +413,7 @@ def params_from_bytes(buf: bytes) -> tuple[ParamStore, tuple[LayerSpec, ...], by
     raw = take(offset * 8, "parameter values")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     params = ParamStore(values, tuple(views))
-    return params, check_chain(specs), buf[pos[0] :]
+    return params, check_chain(specs), buf[pos:]
 
 
 def save_params(path: str, params: ParamStore, specs: tuple[LayerSpec, ...], trailer: bytes = b"") -> None:

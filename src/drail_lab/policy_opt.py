@@ -78,15 +78,21 @@ def _logp_from_sq(sq: np.ndarray, log_std_sum) -> np.ndarray:
     return -0.5 * sq.sum(axis=1) - log_std_sum - 0.5 * sq.shape[1] * _LOG_2PI
 
 
+def _draw_rows(layers: tuple, std: np.ndarray, x: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The mean rows of the mean-net walk ``layers`` on the checked rows
+    ``x``, and one Gaussian action per row: mean + std * N(0, 1)."""
+    means = nn_core._forward(layers, x)
+    if not np.isfinite(means).all():
+        raise NumericalAbort("policy mean is non-finite")
+    return means, means + std * rng.standard_normal(means.shape)
+
+
 def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarray, float]:
     """Draw one action and its exact log-density."""
-    mean = nn_core.forward(policy.mean_params, policy.specs, s)
-    if not np.all(np.isfinite(mean)):
-        raise NumericalAbort("policy mean is non-finite")
-    std = np.exp(policy.log_std)
-    action = mean + std * rng.standard_normal(policy.action_dim)
-    logp = float(_logp_rows(mean[None, :], action[None, :], np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))[0])
-    return action, logp
+    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    x = nn_core._as_batch(np.asarray(s)[None, :], policy.state_dim, "input")
+    means, actions = _draw_rows(layers, np.exp(policy.log_std), x, rng)
+    return actions[0], float(_logp_rows(means, actions, np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))[0])
 
 
 def _entropy(log_std: np.ndarray) -> float:

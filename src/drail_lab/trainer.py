@@ -28,6 +28,7 @@ from .policy_opt import (
     PpoConfig,
     RolloutBuffer,
     ValueFn,
+    _draw_rows,
     _logp_rows,
     build_policy,
     build_value_fn,
@@ -58,6 +59,9 @@ METRICS_HEADER = (
 
 
 # --- configuration ---------------------------------------------------------
+
+
+_TUPLE_FIELDS = ("disc_hidden", "policy_hidden", "value_hidden")
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,11 @@ class TrainConfig:
         for name in ("seed", "noise_scale", "disc_lr", "bc_lr"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("disc_hidden", "policy_hidden", "value_hidden"):
-            object.__setattr__(self, name, tuple(int(w) for w in getattr(self, name)))
-
-
-_TUPLE_FIELDS = ("disc_hidden", "policy_hidden", "value_hidden")
+        for name in _TUPLE_FIELDS:
+            widths = tuple(int(w) for w in getattr(self, name))
+            if min(widths, default=1) < 1:
+                raise ValueError(f"{name} widths must be >= 1, got {list(widths)}")
+            object.__setattr__(self, name, widths)
 
 
 def _is_int(value) -> bool:
@@ -142,10 +146,8 @@ _JSON_TYPES = {
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for name in _TUPLE_FIELDS:
-        d[name] = list(d[name])
-    return d
+    """The config as JSON data (JSON writes the width tuples as lists)."""
+    return dataclasses.asdict(cfg)
 
 
 def _config_kwargs(cls, data: dict, prefix: str = "") -> dict:
@@ -194,14 +196,6 @@ class EvalReport:
     episodes: int
     per_seed: tuple[tuple[int, float], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "success_rate": self.success_rate,
-            "mean_return": self.mean_return,
-            "episodes": self.episodes,
-            "per_seed": [[s, r] for s, r in self.per_seed],
-        }
-
 
 def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
     """Observation rows -> action rows closure (one observation gives one
@@ -213,12 +207,9 @@ def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
     std = np.exp(policy.log_std)
 
     def act(obs):
-        means = nn_core._forward(layers, nn_core._as_batch(obs, policy.state_dim, "input"))
-        if stochastic:
-            if not np.isfinite(means).all():
-                raise NumericalAbort("policy mean is non-finite")
-            means = means + std * rng.standard_normal(means.shape)
-        return means[0] if np.ndim(obs) == 1 else means
+        x = nn_core._as_batch(obs, policy.state_dim, "input")
+        actions = _draw_rows(layers, std, x, rng)[1] if stochastic else nn_core._forward(layers, x)
+        return actions[0] if np.ndim(obs) == 1 else actions
 
     return act
 
@@ -260,15 +251,7 @@ def evaluate(
         else:
             # its own stream: make_env draws the start states from default_rng(sub_seed)
             act = policy_actor(policy, stochastic, np.random.default_rng([sub_seed, 1]))
-        obs = env.reset_rows(np.arange(episodes_here))
-        wins = 0
-        while env.n_envs:
-            obs, done, success = env.step_rows(act(obs))
-            wins += int(np.count_nonzero(success))
-            if done.any():
-                running = np.flatnonzero(~done)
-                env.keep_rows(running)
-                obs = obs[running]
+        wins = sum(int(np.count_nonzero(success)) for *_, success in envs._run_episodes(env, act))
         per_seed.append((sub_seed, wins / episodes_here))
         total_wins += wins
     rate = total_wins / n_episodes
@@ -316,10 +299,7 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
         x = nn_core._as_batch(obs, width, "input")
         states[:, t] = x
         values[:, t] = nn_core._forward(v_layers, x)[:, 0]
-        means = nn_core._forward(p_layers, x)
-        if not np.isfinite(means).all():
-            raise NumericalAbort("policy mean is non-finite")
-        action = means + std * rng.standard_normal((n_envs, policy.action_dim))
+        means, action = _draw_rows(p_layers, std, x, rng)
         log_probs[:, t] = _logp_rows(means, action, inv_var, log_std_sum)
         actions[:, t] = action
         obs, done, _ = env.step_rows(action)
@@ -406,8 +386,8 @@ class RewardGrid:
 
 
 def reward_map(disc, grid: Grid, rng, samples_per_cell: int = 4) -> RewardGrid:
-    """Mean discriminator probability per lattice cell over
-    samples_per_cell independent draws."""
+    """Mean discriminator probability per lattice cell over samples_per_cell
+    probabilities, each made from disc.sample_count draws."""
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be >= 1")
     if disc.state_dim + disc.action_dim != 2:

@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from drail_lab import diffusion, nn_core
+from drail_lab import diffusion, envs, nn_core
+from drail_lab.errors import NumericalAbort
 
 
 def fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -103,6 +104,20 @@ def gaussian_logp_by_hand(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray) 
     return total
 
 
+def policy_sample_reference(policy, s: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One action and its log-density on one state, as first written: the
+    mean net's forward pass, a finiteness check, one standard-normal draw per
+    action dimension scaled by exp(log_std), and the Gaussian log-density
+    summed in the order the library sums its rows."""
+    mean = nn_core.forward(policy.mean_params, policy.specs, s)
+    if not np.all(np.isfinite(mean)):
+        raise NumericalAbort("policy mean is non-finite")
+    action = mean + np.exp(policy.log_std) * rng.standard_normal(policy.action_dim)
+    sq = (action - mean) ** 2 * np.exp(-2.0 * policy.log_std)
+    logp = -0.5 * sq.sum() - np.sum(policy.log_std) - 0.5 * sq.size * math.log(2.0 * math.pi)
+    return action, float(logp)
+
+
 def point_step_reference(position, velocity, goal, action, wall: bool):
     """The point-mass step on 2-vectors with numpy clips and np.linalg.norm,
     as first written; returns (position', velocity', success)."""
@@ -149,6 +164,33 @@ def expert_dataset_reference(n: int, rng: np.random.Generator, noise_scale: floa
             dones += [False] * (len(episode) - 1) + [True]
     return (np.array(states).reshape(-1, 6), np.array(actions).reshape(-1, 2), np.array(dones, dtype=bool),
             successes, attempts)
+
+
+def evaluate_reference(actor: Callable, n_episodes: int, seed: int, horizon: int, wall: bool, n_seeds: int):
+    """point_reach evaluation one episode after another: the episodes are
+    split over n_seeds streams of seeds seed, seed + 1, ... (the first
+    n_episodes % n_seeds streams get one more), each stream draws its start
+    states with point_reset on default_rng(its seed) in episode order, and
+    each episode steps ``actor`` (one observation -> one action) on
+    point_step_reference until it reaches the goal or the horizon. Returns
+    [(seed, success rate)] per stream."""
+    per_seed = []
+    base, extra = divmod(n_episodes, n_seeds)
+    for i in range(n_seeds):
+        rng = np.random.default_rng(seed + i)
+        count = base + (1 if i < extra else 0)
+        wins = 0
+        for _ in range(count):
+            start = envs.point_reset(1.0, rng)
+            position, velocity, goal = start.position, start.velocity, start.goal
+            for _ in range(horizon):
+                action = actor(np.concatenate([position, velocity, goal]))
+                position, velocity, success = point_step_reference(position, velocity, goal, action, wall)
+                if success:
+                    wins += 1
+                    break
+        per_seed.append((seed + i, wins / count))
+    return per_seed
 
 
 def predict_noise_reference(model, x_t: np.ndarray, t: int, label) -> np.ndarray:

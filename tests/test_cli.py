@@ -178,6 +178,9 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("ppo.gamma=0.9", "ppo.gamma"),  # retired keys pass only at their fixed values
     ("label_dim=-1", "label_dim"),
     ("time_embed_dim=-2", "time_embed_dim"),
+    ("disc_hidden=[0]", "disc_hidden"),  # a width the nets cannot be built with
+    ("policy_hidden=[-3]", "policy_hidden"),
+    ("value_hidden=[0]", "value_hidden"),
 ])
 def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsys, override, key):
     cfg_path = tmp_path / "cfg.json"

@@ -27,7 +27,7 @@ from drail_lab.policy_opt import (
     value_batch,
 )
 
-from oracles import fd_grad, gae_brute_force, gaussian_logp_by_hand, rel_err
+from oracles import fd_grad, gae_brute_force, gaussian_logp_by_hand, policy_sample_reference, rel_err
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -49,6 +49,9 @@ def test_policy_sample_deterministic_given_seed():
     a1, l1 = policy_sample(policy, s, np.random.default_rng(7))
     a2, l2 = policy_sample(policy, s, np.random.default_rng(7))
     assert np.array_equal(a1, a2) and l1 == l2
+    # the same bytes as the expression written out in full
+    a3, l3 = policy_sample_reference(policy, s, np.random.default_rng(7))
+    assert a1.tobytes() == a3.tobytes() and l1 == l3
 
 
 def test_logp_of_mean_action():

@@ -14,7 +14,6 @@ from drail_lab.policy_opt import (
     build_policy,
     build_value_fn,
     policy_mean_batch,
-    policy_sample,
     value_single,
 )
 from drail_lab.trainer import (
@@ -31,6 +30,8 @@ from drail_lab.trainer import (
     reward_map,
     train,
 )
+
+from oracles import evaluate_reference, policy_sample_reference
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +166,7 @@ def test_collect_rollout_bootstrap_mid_episode():
 
 
 def _reference_rollout(env_seed, policy, vf, n_steps, rng, horizon, wall):
-    """collect_rollout spelled out with value_single, policy_sample and point_step."""
+    """collect_rollout spelled out with value_single, policy_sample_reference and point_step."""
     env_rng = np.random.default_rng(env_seed)
     states, actions, log_probs, values, dones = [], [], [], [], []
     state = envs.point_reset(1.0, env_rng)
@@ -176,7 +177,7 @@ def _reference_rollout(env_seed, policy, vf, n_steps, rng, horizon, wall):
         obs = envs.observe(state)
         states.append(obs)
         values.append(value_single(vf, obs))
-        action, logp = policy_sample(policy, obs, rng)
+        action, logp = policy_sample_reference(policy, obs, rng)
         actions.append(action)
         log_probs.append(logp)
         state, _, done, _ = envs.point_step(state, action, horizon, wall)
@@ -366,6 +367,26 @@ def test_evaluate_per_seed_breakdown():
     assert report.per_seed[0][0] == 3 and report.per_seed[1][0] == 4
     # totals aggregate the per-seed counts exactly
     assert report.success_rate == pytest.approx(np.mean([r for _, r in report.per_seed]))
+
+
+def _pd_like_policy():
+    """A 6-2-2 mean net near the scripted PD law: a hidden tanh layer of
+    0.1 times the law's gains, read out at 10x."""
+    policy = build_policy(6, 2, hidden=(2,), seed=0)
+    gains = np.hstack([-envs.PD_KP * np.eye(2), -envs.PD_KD * np.eye(2), envs.PD_KP * np.eye(2)])
+    values = np.concatenate([(0.1 * gains).ravel(), np.zeros(2), (10.0 * np.eye(2)).ravel(), np.zeros(2)])
+    return dataclasses.replace(policy, mean_params=policy.mean_params.with_values(values))
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("wall, horizon", [(False, 12), (True, 18)])  # short enough that some episodes fail
+@pytest.mark.parametrize("actor", ["scripted", "policy"])
+def test_evaluate_matches_reference_episode_loop(actor, wall, horizon, n_seeds):
+    policy = envs.scripted_actor if actor == "scripted" else _pd_like_policy()
+    one_row = policy if actor == "scripted" else (lambda obs: policy_mean_batch(policy, obs[None, :])[0])
+    report = evaluate(policy, "point_reach", 30, seed=5, horizon=horizon, wall=wall, n_seeds=n_seeds)
+    assert list(report.per_seed) == evaluate_reference(one_row, 30, 5, horizon, wall, n_seeds)
+    assert 0.0 < report.success_rate < 1.0
 
 
 def test_evaluate_deterministic():
