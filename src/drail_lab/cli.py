@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -44,6 +45,12 @@ def _manifest(kind: str, seed: int, config: dict, artifacts: dict) -> dict:
     }
 
 
+def _check_noise_scale(value: float) -> None:
+    # NaN passes a plain `< 0` test, and inf overflows the start states
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"--noise-scale must be finite and >= 0, got {value}")
+
+
 # --- gen-expert ---------------------------------------------------------------
 
 
@@ -52,6 +59,7 @@ def cmd_gen_expert(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown env {args.env!r}; valid envs: {', '.join(ENV_NAMES)}")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    _check_noise_scale(args.noise_scale)
     rng = np.random.default_rng(args.seed)
     if args.env == "sine":
         dataset = sine_expert_sample(SineWorldSpec(), args.n, rng)
@@ -139,8 +147,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         eval_path = os.path.join(args.out, "final_eval.json")
         _write_json(eval_path, dataclasses.asdict(result.final_eval))
         artifacts["final_eval"] = eval_path
+    # the loop's counts ride along; a rerun reads only the config
     _write_json(os.path.join(args.out, "manifest.json"),
-                _manifest("train", cfg.seed, config_to_dict(cfg), artifacts))
+                dict(_manifest("train", cfg.seed, config_to_dict(cfg), artifacts), counters=result.counters))
 
     last = result.metrics[-1]
     success = "n/a" if last["success_rate"] is None else f"{last['success_rate']:.3f}"
@@ -153,6 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_noise_scale(args.noise_scale)
     policy = load_policy(args.checkpoint)
     report = evaluate(
         policy,

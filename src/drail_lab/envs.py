@@ -526,8 +526,8 @@ class PointReach(_VectorEnv):
         wall: bool = False,
         n_envs: int = 1,
     ) -> None:
-        if noise_scale < 0.0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         super().__init__(seed, n_envs)

@@ -1,15 +1,17 @@
 """End-to-end command-line contract tests (run in-process via cli.main)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import drail_lab
-from drail_lab import cli
+from drail_lab import cli, nn_core, trainer
 from drail_lab.discriminators import build_diffail, build_drail, build_gail, save_discriminator
 from drail_lab.envs import dataset_load
 from drail_lab.policy_opt import build_policy, save_policy
@@ -97,6 +99,27 @@ def test_gen_expert_unreachable_horizon_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["gen-expert", "eval"])
+def test_bad_noise_scale_exits_2_naming_the_flag(tmp_path, capsys, command, value):
+    # rejected before any work: no dataset written, no episode run, no numpy warning
+    out = tmp_path / "x.drld"
+    if command == "gen-expert":
+        argv = ["gen-expert", "--env", "point_reach", "--n", "3", "-o", str(out)]
+    else:
+        ckpt = str(tmp_path / "p.drlp")
+        save_policy(ckpt, build_policy(6, 2, (8, 8), seed=0))
+        argv = ["eval", ckpt, "--env", "point_reach", "--episodes", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(*argv, f"--noise-scale={value}")
+    assert rc == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: --noise-scale") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -135,6 +158,27 @@ def test_train_rerun_from_manifest_reproduces_metrics(tmp_path, sine_dataset):
     a = open(os.path.join(first, "metrics.csv"), "rb").read()
     b = open(os.path.join(second, "metrics.csv"), "rb").read()
     assert a == b
+
+
+def test_train_manifest_counters_match_the_adam_steps_run(tmp_path, sine_dataset, monkeypatch):
+    # ragged: 64-row rollouts in batches of 24 give 3 discriminator and,
+    # over 2 epochs, 6 PPO minibatches per iteration
+    adam_calls, results = [], []
+    real_adam, real_train = nn_core._adam_apply, cli.train
+    monkeypatch.setattr(nn_core, "_adam_apply", lambda *a: adam_calls.append(1) or real_adam(*a))
+    monkeypatch.setattr(cli, "train", lambda cfg: results.append(real_train(cfg)) or results[-1])
+    cfg = _tiny_config(sine_dataset, disc_batch=24, ppo={"rollout_steps": 64, "minibatch_size": 24, "epochs": 2})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    run_dir = str(tmp_path / "run")
+    assert run_cli("train", "--config", str(cfg_path), "-o", run_dir) == 0
+    counters = results[0].counters
+    assert counters["disc_minibatches"] == 2 * 3 and counters["ppo_minibatches"] == 2 * 2 * 3
+    assert len(adam_calls) == counters["disc_minibatches"] + counters["ppo_minibatches"]
+    assert counters["lockstep_steps"] == 2 * 64 // math.gcd(64, trainer._N_ENVS)
+    manifest = json.loads(open(os.path.join(run_dir, "manifest.json")).read())
+    assert manifest["counters"] == counters
+    assert all(type(v) is int for v in counters.values())
 
 
 def test_train_missing_expert_path_fails_fast(tmp_path, capsys):
@@ -254,6 +298,16 @@ def test_eval_rejects_discriminator_checkpoint(tmp_path, capsys):
     ckpt = str(tmp_path / "d.drlp")
     save_discriminator(ckpt, build_drail(1, 1, hidden=(8, 8), T=8, seed=0))
     assert run_cli("eval", ckpt, "--env", "sine") == 2
+
+
+@pytest.mark.parametrize("dims, env, env_dims", [((6, 2), "sine", (1, 1)), ((1, 1), "point_reach", (6, 2))])
+def test_eval_policy_for_another_env_exits_2_naming_both_widths(tmp_path, capsys, dims, env, env_dims):
+    ckpt = str(tmp_path / "p.drlp")
+    save_policy(ckpt, build_policy(*dims, (8, 8), seed=0))
+    assert run_cli("eval", ckpt, "--env", env, "--episodes", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.index(str(dims)) < err.index(str(env_dims))
+    assert repr(env) in err and "Traceback" not in err
 
 
 # --- reward-map --------------------------------------------------------------------

@@ -38,11 +38,14 @@ CASES = {
                                 ppo={"rollout_steps": 256, "minibatch_size": 64, "epochs": 3})),
 }
 
-# The drail and diffail runs were last re-recorded when reward labeling
-# began to score a rollout in one call on the label stream, where it had
-# drawn each 512-row chunk from a seed of its own: their label draws, and
-# so every artifact but final_eval.json, moved. The gail runs, whose
-# rewards draw nothing, the bc run and the expert datasets did not move.
+# The four adversarial runs were last re-recorded when the PPO learning
+# rate default went from 1e-4 to 2e-4 (these configs pin minibatch_size
+# and epochs, not lr) and a run's lockstep envs from gcd(rollout_steps, 16)
+# to gcd(rollout_steps, 64): 64 envs here instead of 16, which draws other
+# start states and action noise. Every artifact moved but the point_reach
+# final_eval.json, which reads success 0.0 before and after. The bc run
+# and the expert datasets, which use neither, did not move; with the old
+# three values every case gives its previous hashes.
 GOLDEN = {
     "bc-point_reach": {
         "metrics.csv": "9096cfd4aa728bb45e5d43d268156923b0e3165a529380484f7cde47b584d41e",
@@ -50,27 +53,27 @@ GOLDEN = {
         "final_eval.json": "b98cf1ebb3bcc69678e2b2ee2caacd3853c2e7d3fdf66ae06f2da33593c149de",
     },
     "diffail-point_reach": {
-        "metrics.csv": "39be882fdf434d37ed5a0daf62f36c934735f97213a87c4ed3101e9f3dddb083",
-        "policy.drlp": "f68d93ee80f1acde2d02ee013f6025ef38c80cb16b47b2df32133e1fbb3283cf",
-        "discriminator.drlp": "238f500b9a1711258c950a4e5d2f881f8e611da0a5f13a7728be87ab2fde59b0",
+        "metrics.csv": "9517aa8fb8b6cea6fb14f67756bb2c5f3993b766293c6e052ef45512d88111f8",
+        "policy.drlp": "2ff565b6844e99b8fa289e80fdd23360ccc06280d1550903fe397024063ed459",
+        "discriminator.drlp": "bb1ff399ea2f0e722ee658b99dfb1d40f8c6f0af1e56d401e076774566a9974d",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-point_reach": {
-        "metrics.csv": "45c99dfeb9714eaedcf960d85cdb3f8b0206bde80016cc6b41c1cfbf5e0b5687",
-        "policy.drlp": "5ab3295e39798c8fa31707b6d049134a508046f10e71eeba18ae547f42bb7750",
-        "discriminator.drlp": "432a7daf4e3ef264f7dd05cdfd6b105054fd45e88cff43b1ef7674a953ac2eff",
+        "metrics.csv": "174e72401d219b54a34f42d6b5a51c969481756f8c5e5659220ddcf77fcd377c",
+        "policy.drlp": "234b47ee909388daebaada8467efd1182df5fc465bfd727852b2b458ece62f55",
+        "discriminator.drlp": "cb187537c7dd77f41f8a4cd7c1538fecae84a9ae7f898d1da6c36c185daed425",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-sine": {
-        "metrics.csv": "801a639e7131a5d2c5a34eca656a14fd6f8c68401f6ee5a3002a707a6bffabea",
-        "policy.drlp": "06b998e17d963fa53b8aaedb021490c23b7817890f57bbde7d7220eaac5a861d",
-        "discriminator.drlp": "7f5a3d6c15e615cc4a8e2c5d466da155ebf7a43d648ca38e6babddedc92a66fa",
-        "final_eval.json": "c8e8b9918ae39e3cf8baf0ef762b9b4aa35c027c9bab1824e6393753285195e4",
+        "metrics.csv": "6bf3ee5c369a4ae699a7e9cb3788615115ce7fc25e0911c255634236fa20bc09",
+        "policy.drlp": "c86ef5746647cedc2f21a5e1a1ceb13c868e5232c68b8f36da36cfb31d095a6f",
+        "discriminator.drlp": "da8ea7055e357a4bddae4499e2786e90a26bd5432a2f6a2efc41b36128a0184f",
+        "final_eval.json": "aa1e7e37cc1c5f9258dfbf45301bb6e655f9d60b5179c51e8ba7406a45c0cac2",
     },
     "gail-point_reach": {
-        "metrics.csv": "e2b0aca25bcdf7726e0b99f6f7bd08146b98b722e65aac8ee1c36f539312a9dd",
-        "policy.drlp": "a08b9a2f24f5a4df43bb1a083f1d9a1a4d511f0c75eb9c6728b41a47822c616c",
-        "discriminator.drlp": "904f879fec92a20f1832e7bc82a80b762d3d372745038ade7b36092b072523c4",
+        "metrics.csv": "4c18dc7793b704742bcba12d6b204eb98947957a099b44a083944baf95d30728",
+        "policy.drlp": "3c41138f3daf2e89b32cbb2c345a759f6017fb1fe5e815f498421c4b396a4e99",
+        "discriminator.drlp": "102bee10b5c3b0b9051a5333c7335fd50409130c0e159a52cbd7b0b9cfd8ece7",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
 }

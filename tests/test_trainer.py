@@ -537,8 +537,9 @@ def test_train_gail_and_diffail_run(sine_expert_file):
 
 
 def test_train_gae_runs_per_env_column(point_expert_file, monkeypatch):
-    # train splits the env-major buffer into its 16 env columns, one
-    # compute_gae call each with that env's bootstrap value
+    # train splits the env-major buffer into its _N_ENVS env columns of 4
+    # rows, one compute_gae call each with that env's bootstrap value
+    k = trainer._N_ENVS
     gae_calls, buffers = [], []
     real_gae, real_ppo = trainer.compute_gae, trainer.ppo_update
 
@@ -553,14 +554,14 @@ def test_train_gae_runs_per_env_column(point_expert_file, monkeypatch):
 
     monkeypatch.setattr(trainer, "compute_gae", gae_spy)
     monkeypatch.setattr(trainer, "ppo_update", ppo_spy)
-    cfg = _tiny_cfg(point_expert_file, env="point_reach", horizon=3, total_env_steps=128,
-                    ppo=PpoConfig(rollout_steps=64, minibatch_size=32, epochs=1))
+    cfg = _tiny_cfg(point_expert_file, env="point_reach", horizon=3,
+                    total_env_steps=8 * k, ppo=PpoConfig(rollout_steps=4 * k, minibatch_size=32, epochs=1))
     train(cfg)
-    assert len(buffers) == 2 and len(gae_calls) == 32
+    assert len(buffers) == 2 and len(gae_calls) == 2 * k
     for it, buf in enumerate(buffers):
         advs = []
-        for e in range(16):
-            (rewards, values, dones, gamma, lam), (adv, rets) = gae_calls[16 * it + e]
+        for e in range(k):
+            (rewards, values, dones, gamma, lam), (adv, rets) = gae_calls[k * it + e]
             seg = slice(4 * e, 4 * e + 4)
             assert rewards.tobytes() == buf.rewards[seg].tobytes()
             assert values.tobytes() == np.append(buf.values[seg], buf.bootstrap_value[e]).tobytes()
@@ -571,7 +572,7 @@ def test_train_gae_runs_per_env_column(point_expert_file, monkeypatch):
         assert buf.advantages.tobytes() == trainer.normalize_advantages(np.concatenate(advs)).tobytes()
         # rows of one env follow each other in time: each row is the
         # previous row stepped, unless the previous step ended an episode
-        for e in range(16):
+        for e in range(k):
             for t in range(4 * e + 1, 4 * e + 4):
                 if buf.dones[t - 1]:
                     continue
