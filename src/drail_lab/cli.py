@@ -214,7 +214,7 @@ def _describe_checkpoint(path: str) -> str:
     # a policy's trailer is its log_std, 8 bytes per action; a
     # discriminator's (17 or 42 bytes) is never a multiple of 8
     if len(trailer) == 8 * specs[-1].out_dim:
-        log_std = np.frombuffer(trailer, dtype="<f8")
+        log_std = load_policy(path).log_std
         return f"{head}, kind policy (log_std={np.array2string(log_std, precision=4)})"
     disc = load_discriminator(path)
     return f"{head}, kind {disc.kind} ({disc.describe()})"
@@ -241,15 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drail-lab",
                                      description="Adversarial imitation learning laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the episode settings that gen-expert and eval share
+    episodes = argparse.ArgumentParser(add_help=False)
+    episodes.add_argument("--seed", type=int, default=0)
+    episodes.add_argument("--noise-scale", type=float, default=1.0)
+    episodes.add_argument("--horizon", type=int, default=envs.DEFAULT_HORIZON)
+    episodes.add_argument("--wall", action="store_true")
 
-    gen = sub.add_parser("gen-expert", help="record a scripted-expert dataset")
+    gen = sub.add_parser("gen-expert", parents=[episodes], help="record a scripted-expert dataset")
     gen.add_argument("--env", required=True, help=f"one of: {', '.join(ENV_NAMES)}")
     gen.add_argument("--n", type=int, required=True,
                      help="sine: number of pairs; point_reach: number of trajectories")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise-scale", type=float, default=1.0)
-    gen.add_argument("--horizon", type=int, default=envs.DEFAULT_HORIZON)
-    gen.add_argument("--wall", action="store_true")
     gen.add_argument("-o", "--out", required=True, help="dataset output path")
     gen.set_defaults(func=cmd_gen_expert)
 
@@ -260,14 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("-o", "--out", default="run", help="run directory (default: run)")
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="evaluate a policy checkpoint")
+    ev = sub.add_parser("eval", parents=[episodes], help="evaluate a policy checkpoint")
     ev.add_argument("checkpoint")
     ev.add_argument("--env", required=True)
     ev.add_argument("--episodes", type=int, default=50)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--noise-scale", type=float, default=1.0)
-    ev.add_argument("--horizon", type=int, default=envs.DEFAULT_HORIZON)
-    ev.add_argument("--wall", action="store_true")
     ev.add_argument("--stochastic", action="store_true")
     ev.add_argument("--n-seeds", type=int, default=1)
     ev.set_defaults(func=cmd_eval)

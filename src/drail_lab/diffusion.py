@@ -212,7 +212,7 @@ def _time_terms(model: Denoiser, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lookup = np.empty(T + 1, dtype=np.intp)
     lookup[distinct] = np.arange(distinct.size)
     weights = model.params.weights(0)
-    terms = model.time_features(distinct) @ weights[:, model.data_dim + model.label_dim :].T
+    terms = _time_table(T, model.time_embed_dim)[distinct] @ weights[:, model.data_dim + model.label_dim :].T
     terms += model.params.bias(0)
     return terms, lookup
 
@@ -281,7 +281,8 @@ def _branch_gradient(
         if label:
             d_label += label * g_branch.sum(axis=0)
     d_weights[:, d : d + n_label] = d_label[:, None]
-    d_weights[:, d + n_label :] = total.T @ model.time_features(ts)
+    # ts passed the _time_terms check of the walk that collected hs
+    d_weights[:, d + n_label :] = total.T @ _time_table(model.schedule.T, model.time_embed_dim)[ts]
     np.sum(total, axis=0, out=grad[offset + width * n_in : offset + width * (n_in + 1)])
     return grad
 

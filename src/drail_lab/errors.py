@@ -2,4 +2,4 @@
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when training hits a non-finite quantity; maps to exit code 3."""
+    """Raised when a training stage rejects a value the run made; maps to exit code 3."""

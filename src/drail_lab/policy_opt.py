@@ -32,17 +32,25 @@ class GaussianPolicy:
     mean_params: ParamStore
     specs: tuple[LayerSpec, ...]
     log_std: np.ndarray
-    state_dim: int
-    action_dim: int
 
     def __post_init__(self) -> None:
-        ls = np.clip(np.asarray(self.log_std, dtype=np.float64), LOG_STD_MIN, LOG_STD_MAX)
+        ls = np.asarray(self.log_std, dtype=np.float64)
+        # clipping would keep a NaN and turn an infinity into a bound
+        if not np.isfinite(ls).all():
+            raise ValueError(f"log_std must be finite, got {ls}")
+        ls = np.clip(ls, LOG_STD_MIN, LOG_STD_MAX)
         ls.flags.writeable = False
         object.__setattr__(self, "log_std", ls)
         if ls.shape != (self.action_dim,):
             raise ValueError("log_std length must equal action_dim")
-        if self.specs[0].in_dim != self.state_dim or self.specs[-1].out_dim != self.action_dim:
-            raise ValueError("policy network dims do not match state/action dims")
+
+    @property
+    def state_dim(self) -> int:
+        return self.specs[0].in_dim
+
+    @property
+    def action_dim(self) -> int:
+        return self.specs[-1].out_dim
 
 
 def build_policy(
@@ -53,13 +61,7 @@ def build_policy(
     init_log_std: float = 0.0,
 ) -> GaussianPolicy:
     specs = nn_core.mlp_specs((state_dim, *hidden, action_dim), "tanh")
-    return GaussianPolicy(
-        mean_params=nn_core.init_params(specs, seed),
-        specs=specs,
-        log_std=np.full(action_dim, init_log_std),
-        state_dim=state_dim,
-        action_dim=action_dim,
-    )
+    return GaussianPolicy(nn_core.init_params(specs, seed), specs, np.full(action_dim, init_log_std))
 
 
 def policy_mean_batch(policy: GaussianPolicy, states: np.ndarray) -> np.ndarray:
@@ -430,4 +432,4 @@ def load_policy(path: str) -> GaussianPolicy:
             f"policy checkpoint trailer must hold {action_dim} log-std values, got {len(trailer)} bytes"
         )
     log_std = np.frombuffer(trailer, dtype="<f8").astype(np.float64)
-    return GaussianPolicy(params, specs, log_std, specs[0].in_dim, action_dim)
+    return GaussianPolicy(params, specs, log_std)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -78,7 +79,7 @@ class TrainConfig:
     total_env_steps: int = 300_000
     seed: int = 0
     noise_scale: float = 1.0
-    horizon: int = 200
+    horizon: int = envs.DEFAULT_HORIZON
     wall: bool = False
     max_expert_trajectories: int | None = None
     # discriminator
@@ -117,8 +118,9 @@ class TrainConfig:
                      "eval_interval", "eval_episodes", "bc_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # limits of the discriminator checkpoint, so a run never writes one it cannot load
-        for name, limit in (("schedule_steps", MAX_SCHEDULE_STEPS), ("sample_count", MAX_SAMPLE_COUNT)):
+        # a run never writes a checkpoint it cannot load, and labeling allocates all its draws up front
+        for name, limit in (("schedule_steps", MAX_SCHEDULE_STEPS), ("sample_count", MAX_SAMPLE_COUNT),
+                            ("reward_sample_count", MAX_SAMPLE_COUNT)):
             if getattr(self, name) > limit:
                 raise ValueError(f"{name} must be <= {limit}")
         if self.max_expert_trajectories is not None and self.max_expert_trajectories < 1:
@@ -140,7 +142,8 @@ def _is_int(value) -> bool:
 # what a JSON config value must be, by the field's annotation
 _JSON_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v), "a finite number"),
+    # abs, not math.isfinite, which raises OverflowError on an int past the float range
+    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
@@ -284,7 +287,7 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
     if n_steps % n_envs:
         raise ValueError(f"n_steps {n_steps} is not a multiple of the {n_envs} envs")
     # value_single and policy_sample on all rows, with the layer views and
-    # the log-std terms built once and each observation checked once
+    # the log-std terms built once; the env's own rows need no check
     width = env.state_dim
     for what, in_dim in (("value", vf.specs[0].in_dim), ("policy", policy.state_dim)):
         if in_dim != width:
@@ -302,17 +305,16 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
     dones = np.empty((n_envs, steps), dtype=bool)
     obs = env.reset_rows(np.flatnonzero(~env.open))
     for t in range(steps):
-        x = nn_core._as_batch(obs, width, "input")
-        states[:, t] = x
-        values[:, t] = nn_core._forward(v_layers, x)[:, 0]
-        means, action = _draw_rows(p_layers, std, x, rng)
+        states[:, t] = obs
+        values[:, t] = nn_core._forward(v_layers, obs)[:, 0]
+        means, action = _draw_rows(p_layers, std, obs, rng)
         log_probs[:, t] = _logp_rows(means, action, inv_var, log_std_sum)
         actions[:, t] = action
         obs, done, _ = env.step_rows(action)
         dones[:, t] = done
         if done.any():
             obs = env.reset_rows(np.flatnonzero(done))
-    last = nn_core._forward(v_layers, nn_core._as_batch(obs, width, "input"))[:, 0]
+    last = nn_core._forward(v_layers, obs)[:, 0]
     bootstrap = np.where(dones[:, -1], 0.0, last)
     return RolloutBuffer(states.reshape(n_steps, width), actions.reshape(n_steps, -1), log_probs.ravel(),
                          values.ravel(), np.zeros(n_steps), dones.ravel(), bootstrap)
@@ -441,15 +443,12 @@ def metrics_to_csv(rows: list[dict]) -> str:
 
 @contextmanager
 def _abort_scope(iteration: int, stage: str):
-    # funnels non-finite failures into one exit path with loop context
+    # train checks its config, expert dataset and widths before the first stage,
+    # so a value a stage rejects is one the run made: a numerical abort
     try:
         yield
-    except NumericalAbort as e:
+    except (NumericalAbort, ValueError) as e:
         raise NumericalAbort(f"iteration {iteration}, {stage}: {e}") from None
-    except ValueError as e:
-        if "non-finite" in str(e):
-            raise NumericalAbort(f"iteration {iteration}, {stage}: {e}") from None
-        raise
 
 
 def _load_expert(cfg: TrainConfig) -> ExpertDataset:
@@ -508,24 +507,25 @@ def train(cfg: TrainConfig) -> TrainResult:
     policy = build_policy(env.state_dim, env.action_dim, cfg.policy_hidden, policy_seed, cfg.init_log_std)
     vf = build_value_fn(env.state_dim, cfg.value_hidden, value_seed)
 
-    def run_eval(pol: GaussianPolicy) -> EvalReport:
-        return evaluate(
-            pol,
-            cfg.env,
-            cfg.eval_episodes,
-            eval_seed,
-            noise_scale=cfg.noise_scale,
-            horizon=cfg.horizon,
-            wall=cfg.wall,
-            stochastic=cfg.eval_stochastic,
-        )
+    def run_eval(pol: GaussianPolicy, iteration: int) -> EvalReport:
+        with _abort_scope(iteration, "evaluation"):
+            return evaluate(
+                pol,
+                cfg.env,
+                cfg.eval_episodes,
+                eval_seed,
+                noise_scale=cfg.noise_scale,
+                horizon=cfg.horizon,
+                wall=cfg.wall,
+                stochastic=cfg.eval_stochastic,
+            )
 
     if cfg.method == "bc":
         with _abort_scope(1, "behavior cloning"):
             policy = bc_train(dataset, policy, cfg.bc_epochs, cfg.bc_lr,
                               np.random.default_rng(bc_seed), cfg.bc_batch)
             final_loss = bc_loss(policy, dataset)
-        report = run_eval(policy)
+        report = run_eval(policy, 1)
         rows = [{
             "env_steps": 0, "iter": 1, "disc_loss": None, "ppo_loss": final_loss,
             "mean_reward": None, "success_rate": report.success_rate,
@@ -574,8 +574,6 @@ def train(cfg: TrainConfig) -> TrainResult:
                 adv[seg], rets[seg] = compute_gae(
                     buffer.rewards[seg], np.append(buffer.values[seg], bootstrap), buffer.dones[seg],
                     cfg.ppo.gamma, cfg.ppo.gae_lambda)
-            if not np.all(np.isfinite(adv)):
-                raise NumericalAbort("non-finite advantage")
             buffer.advantages = normalize_advantages(adv)
             buffer.returns = rets
 
@@ -585,7 +583,7 @@ def train(cfg: TrainConfig) -> TrainResult:
 
         eval_due = iteration == n_iterations or (steps_done // cfg.eval_interval) > ((steps_done - rollout_len) // cfg.eval_interval)
         if eval_due:
-            report = run_eval(policy)
+            report = run_eval(policy, iteration)
         rows.append({
             "env_steps": steps_done,
             "iter": iteration,

@@ -24,7 +24,14 @@ not set the key.
 No private name without a user: every module-level function, class or
 constant of src/drail_lab whose name starts with one underscore must be
 read somewhere in src/ outside its own definition, as a bare name or as
-an attribute (``nn_core._forward``). Matched by name, like the callers."""
+an attribute (``nn_core._forward``). Matched by name, like the callers.
+
+No failure routed by its text: no ``except ... as e`` handler in
+src/drail_lab may branch (``if``, ``while``, a conditional expression, an
+``assert``, a comprehension's ``if`` or a ``match``) on the caught
+exception's text: ``str(e)``, ``repr(e)``, ``e.args`` or ``e`` in an
+f-string. An exception's type says what failed; its message is for the
+reader. Passing the text on (``raise ValueError(str(e))``) is allowed."""
 
 import ast
 import dataclasses
@@ -216,3 +223,37 @@ def test_every_private_name_is_used():
     assert any(name == "_FORWARD_BLOCK" for _, name, _ in declared)
     unused = [where for where, name, node in declared if reads[name] - _reads(node)[name] <= 0]
     assert not unused, "private names nothing in src/ uses:\n" + "\n".join(unused)
+
+
+def _reads_text(node, name: str) -> bool:
+    """Whether ``node`` reads the text of the exception bound to ``name``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in ("str", "repr"):
+            if any(getattr(a, "id", None) == name for a in sub.args):
+                return True
+        elif isinstance(sub, ast.Attribute) and sub.attr == "args" and getattr(sub.value, "id", None) == name:
+            return True
+        elif isinstance(sub, ast.FormattedValue) and getattr(sub.value, "id", None) == name:
+            return True
+    return False
+
+
+def _branch_tests(node):
+    """The expressions that the branches inside ``node`` test."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            yield sub.test
+        elif isinstance(sub, ast.comprehension):
+            yield from sub.ifs
+        elif isinstance(sub, ast.Match):
+            yield sub.subject
+
+
+def test_no_handler_branches_on_the_exception_text():
+    handlers = [(os.path.relpath(path, PACKAGE), node) for path, tree in _sources(os.path.join("src", "drail_lab"))
+                for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.name]
+    # a scan that finds nothing would pass vacuously
+    assert any(module == "cli.py" for module, _ in handlers)
+    routed = [f"{module}:{h.lineno} except ... as {h.name}" for module, h in handlers
+              if any(_reads_text(test, h.name) for stmt in h.body for test in _branch_tests(stmt))]
+    assert not routed, "handlers that branch on the exception text:\n" + "\n".join(routed)

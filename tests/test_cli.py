@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import drail_lab
 from drail_lab import cli, nn_core, trainer
@@ -213,6 +215,7 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("noise_scale=-1", "noise_scale"),  # the sine world ignores both, yet they must be valid
     ("horizon=0", "horizon"),
     ("schedule_steps=100001", "schedule_steps"),  # past what a checkpoint may declare
+    ("reward_sample_count=129", "reward_sample_count"),  # labeling allocates every draw up front
     ("sample_count=129", "sample_count"),
     ('time_mode="scalar"', "time_mode"),  # the key of manifests written before the one time encoding
     ("seed=-1", "seed"),
@@ -233,6 +236,17 @@ def test_train_bad_override_exits_2_naming_the_key(tmp_path, sine_dataset, capsy
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "r")  # rejected before the run starts
+
+
+def test_train_stage_rejection_exits_3(tmp_path, sine_dataset, capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(trainer, "compute_gae", reject)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(sine_dataset)))
+    assert run_cli("train", "--config", str(cfg_path), "-o", str(tmp_path / "r")) == 3
+    assert capsys.readouterr().err == "numerical abort: iteration 1, advantage estimation: rejected\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -578,3 +592,124 @@ def test_inspect_unknown_format(tmp_path, capsys):
     path.write_bytes(b"\x00\x01\x02\x03more")
     assert run_cli("inspect", str(path)) == 2
     assert "unrecognized" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_with_non_finite_log_std_exits_2_naming_it(tmp_path, capsys, bad):
+    # the trailer of a 1-action policy is its one log-std value
+    data = _policy_bytes(tmp_path)
+    path = str(tmp_path / "bad.drlp")
+    with open(path, "wb") as fh:
+        fh.write(_set_bytes(data, len(data) - 8, np.array(bad, "<f8").tobytes()))
+    evaluate = ["eval", path, "--env", "sine", "--episodes", "3"]
+    for argv in (["inspect", path], evaluate, evaluate + ["--stochastic"]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "log_std" in err, (argv, err)
+
+
+# --- fuzzing -----------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_TRAIN_KEYS = sorted(trainer.TrainConfig.__annotations__)
+_PPO_KEYS = sorted(trainer.PpoConfig.__annotations__)
+_KEYS = st.sampled_from(_TRAIN_KEYS) | st.text(max_size=6)
+_CONFIGS = st.dictionaries(_KEYS, _JSON_VALUES, max_size=6) | st.builds(
+    lambda top, ppo: {**top, "ppo": ppo}, st.dictionaries(_KEYS, _JSON_VALUES, max_size=4),
+    st.dictionaries(st.sampled_from(_PPO_KEYS) | st.text(max_size=6), _JSON_VALUES, max_size=4))
+_OVERRIDES = st.text(max_size=12) | st.builds(
+    lambda key, value: f"{key}={value}",
+    st.sampled_from(_TRAIN_KEYS + [f"ppo.{k}" for k in _PPO_KEYS]) | st.text(max_size=6),
+    _JSON_VALUES.map(json.dumps) | st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_CONFIGS, overrides=st.lists(_OVERRIDES, max_size=3))
+@example(data={}, overrides=["disc_lr=1" + "0" * 400])  # an int past the float range
+def test_fuzzed_config_gives_a_config_or_a_value_error(data, overrides):
+    try:
+        cfg = trainer.config_from_dict(cli._apply_overrides(data, overrides))
+    except ValueError:
+        return
+    assert isinstance(cfg, trainer.TrainConfig)
+
+
+@pytest.fixture(scope="module")
+def fuzz_seed_files(tmp_path_factory):
+    """(bytes, eval env) of one small valid file of each kind."""
+    root = tmp_path_factory.mktemp("seeds")
+    files = {}
+    for name, policy, env in (("point-policy", build_policy(6, 2, (4,), seed=0), "point_reach"),
+                              ("sine-policy", build_policy(1, 1, (4,), seed=1), "sine")):
+        save_policy(str(root / name), policy)
+        files[name] = env
+    for kind, disc in _small_discriminators().items():
+        save_discriminator(str(root / kind), disc)
+        files[kind] = "sine"
+    assert run_cli("gen-expert", "--env", "sine", "--n", "5", "-o", str(root / "sine-data")) == 0
+    assert run_cli("gen-expert", "--env", "point_reach", "--n", "1", "--horizon", "40",
+                   "-o", str(root / "point-data")) == 0
+    files.update({"sine-data": "sine", "point-data": "point_reach"})
+    return {name: ((root / name).read_bytes(), env) for name, env in files.items()}
+
+
+# NaN, inf and -inf as float64, then u32 counts far past any bound
+_SPLICES = [np.array(v, "<f8").tobytes() for v in (np.nan, np.inf, -np.inf)] + [
+    v.to_bytes(4, "little") for v in (2**32 - 1, 2**31 - 1, 2**24)]
+# offsets from -64 to 64 reach the headers and the trailers, the others the values
+_OFFSETS = st.integers(-64, 64) | st.integers(0, 2**16)
+_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("flip"), _OFFSETS, st.integers(1, 255)),
+    st.tuples(st.just("cut"), _OFFSETS, st.just(0)),
+    st.tuples(st.just("splice"), _OFFSETS, st.integers(0, len(_SPLICES) - 1)),
+), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for op, at, arg in mutations:
+        if not out:
+            break
+        at %= len(out)
+        if op == "flip":
+            out[at] ^= arg
+        elif op == "cut":
+            del out[at:]
+        else:
+            out[at : at + len(_SPLICES[arg])] = _SPLICES[arg]
+    return bytes(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["point-policy", "sine-policy", "drail", "gail", "diffail", "sine-data", "point-data"]),
+       mutations=_MUTATIONS)
+def test_fuzzed_files_exit_0_or_2_with_one_error_line(fuzz_seed_files, tmp_path_factory, name, mutations):
+    data, env_name = fuzz_seed_files[name]
+    root = tmp_path_factory.mktemp("fuzz")
+    path = str(root / "mutated.bin")
+    with open(path, "wb") as fh:
+        fh.write(_mutate(data, mutations))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    runs = (["inspect", path],
+            ["eval", path, "--env", env_name, "--episodes", "2", "--horizon", "20"],
+            ["reward-map", path, "--resolution", "5x5", "--samples", "1", "-o", str(root / "map.csv")])
+    # the three commands run side by side, each under the 2 GiB limit
+    procs = [subprocess.Popen([sys.executable, "-c", _LIMITED_CLI, *argv], env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True) for argv in runs]
+    try:
+        for argv, proc in zip(runs, procs):
+            err = proc.communicate(timeout=60)[1]
+            assert proc.returncode in (0, 2) and "Traceback" not in err, (argv[0], name, mutations, err)
+            if proc.returncode == 2:
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert len(errors) == 1, (argv[0], name, mutations, err)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()

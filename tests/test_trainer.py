@@ -634,6 +634,26 @@ def test_train_bc_nan_aborts(sine_expert_file):
         train(cfg)
 
 
+def _reject(*args, **kwargs):
+    raise ValueError("rejected")
+
+
+def test_train_stage_rejection_is_a_numerical_abort_whatever_its_text(sine_expert_file, monkeypatch):
+    # the config, the dataset and the widths are checked before the first
+    # stage, so a value a stage rejects is one the run made
+    monkeypatch.setattr(trainer, "compute_gae", _reject)
+    with pytest.raises(NumericalAbort, match="^iteration 1, advantage estimation: rejected$"):
+        train(_tiny_cfg(sine_expert_file))
+
+
+@pytest.mark.parametrize("method, iteration", [("drail", 2), ("bc", 1)])
+def test_train_evaluation_runs_in_an_abort_scope(sine_expert_file, monkeypatch, method, iteration):
+    monkeypatch.setattr(trainer, "evaluate", _reject)
+    cfg = _tiny_cfg(sine_expert_file, method=method, total_env_steps=128, bc_epochs=1)
+    with pytest.raises(NumericalAbort, match=f"^iteration {iteration}, evaluation: rejected$"):
+        train(cfg)
+
+
 def test_train_point_reach_smoke(point_expert_file):
     cfg = _tiny_cfg(point_expert_file, env="point_reach", total_env_steps=256,
                     ppo=PpoConfig(rollout_steps=256, minibatch_size=64, epochs=2))
