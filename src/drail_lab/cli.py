@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -46,9 +45,8 @@ def _manifest(kind: str, seed: int, config: dict, artifacts: dict) -> dict:
 
 
 def _check_noise_scale(value: float) -> None:
-    # NaN passes a plain `< 0` test, and inf overflows the start states
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"--noise-scale must be finite and >= 0, got {value}")
+    if not 0.0 <= value <= envs._MAX_NOISE_SCALE:  # NaN fails too
+        raise ValueError(f"--noise-scale must be >= 0 and <= {envs._MAX_NOISE_SCALE:g}, got {value}")
 
 
 # --- gen-expert ---------------------------------------------------------------
@@ -131,8 +129,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not os.path.isfile(cfg.expert_path):
         raise ValueError(f"expert dataset not found: {cfg.expert_path}")
 
-    os.makedirs(args.out, exist_ok=True)
     result = train(cfg)
+    os.makedirs(args.out, exist_ok=True)
 
     metrics_path = os.path.join(args.out, "metrics.csv")
     atomic_write(metrics_path, result.csv_text)
@@ -164,17 +162,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_noise_scale(args.noise_scale)
     policy = load_policy(args.checkpoint)
-    report = evaluate(
-        policy,
-        args.env,
-        args.episodes,
-        args.seed,
-        noise_scale=args.noise_scale,
-        horizon=args.horizon,
-        wall=args.wall,
-        stochastic=args.stochastic,
-        n_seeds=args.n_seeds,
-    )
+    try:
+        report = evaluate(
+            policy,
+            args.env,
+            args.episodes,
+            args.seed,
+            noise_scale=args.noise_scale,
+            horizon=args.horizon,
+            wall=args.wall,
+            stochastic=args.stochastic,
+            n_seeds=args.n_seeds,
+        )
+    except NumericalAbort as e:  # no training runs here: the values come from the file
+        raise ValueError(f"policy {args.checkpoint}: {e}") from None
     print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return 0
 

@@ -1,10 +1,12 @@
 """Denoising-diffusion machinery for state-action pairs.
 
 A cosine noise schedule corrupts a concatenated (state, action) vector, and
-a small MLP predicts the injected noise given the corrupted vector, a
-condition label (all-ones for "real", all-zeros for "fake"), and a time
-feature. The squared prediction error for a single random (t, eps) draw is
-the training loss; discriminators build classifiers out of it.
+a small MLP predicts the injected noise given the corrupted vector and a
+time feature. A conditioned denoiser ends in one output head per condition
+label ("real", then "fake"), and the label picks the head; a label-blind
+one has a single head. The squared prediction error for a single random
+(t, eps) draw is the training loss; discriminators build classifiers out
+of it.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _time_table(T: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionLabel:
-    """Binary condition fed to the denoiser: real=all ones, fake=all zeros."""
+    """Binary condition label, real=all ones, fake=all zeros; it picks the
+    denoiser's output head."""
 
     kind: str
     embedding: np.ndarray
@@ -132,7 +135,9 @@ def _check_timesteps(ts: np.ndarray, T: int) -> None:
 
 @dataclass(frozen=True)
 class Denoiser:
-    """Conditional noise-prediction MLP over (state, action) vectors."""
+    """Noise-prediction MLP over [noised (state, action) | time features]:
+    with label_dim > 0 its output holds a real and a fake head, each
+    data_dim wide; with label_dim 0, one head."""
 
     params: ParamStore
     specs: tuple[LayerSpec, ...]
@@ -148,11 +153,11 @@ class Denoiser:
                 raise ValueError(f"{name} must be >= 0")
         if self.time_embed_dim % 2 != 0:
             raise ValueError("sinusoidal time embedding dim must be even")
-        want_in = self.state_dim + self.action_dim + self.label_dim + self.time_embed_dim
+        want_in = self.data_dim + self.time_embed_dim
         if self.specs[0].in_dim != want_in:
             raise ValueError(f"denoiser input width {self.specs[0].in_dim} != {want_in}")
-        if self.specs[-1].out_dim != self.data_dim:
-            raise ValueError("denoiser output width must be state_dim + action_dim")
+        if self.specs[-1].out_dim != _heads(self.label_dim) * self.data_dim:
+            raise ValueError("denoiser output width must be one state_dim + action_dim head per label")
 
     @property
     def data_dim(self) -> int:
@@ -179,8 +184,8 @@ def build_denoiser(
     seed: int = 0,
 ) -> Denoiser:
     """Denoiser with relu hidden layers and an identity output layer."""
-    in_dim = state_dim + action_dim + label_dim + time_embed_dim
-    specs = nn_core.mlp_specs((in_dim, *hidden, state_dim + action_dim), "relu")
+    d = state_dim + action_dim
+    specs = nn_core.mlp_specs((d + time_embed_dim, *hidden, _heads(label_dim) * d), "relu")
     return Denoiser(
         params=nn_core.init_params(specs, seed),
         specs=specs,
@@ -190,6 +195,11 @@ def build_denoiser(
         time_embed_dim=time_embed_dim,
         schedule=build_cosine_schedule(T, s_offset),
     )
+
+
+def _heads(label_dim: int) -> int:
+    """Output heads of a denoiser: real and fake when it is conditioned."""
+    return 2 if label_dim else 1
 
 
 def _noised(schedule: NoiseSchedule, x0_rows: np.ndarray, ts: np.ndarray, eps_rows: np.ndarray) -> np.ndarray:
@@ -212,94 +222,71 @@ def _time_terms(model: Denoiser, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lookup = np.empty(T + 1, dtype=np.intp)
     lookup[distinct] = np.arange(distinct.size)
     weights = model.params.weights(0)
-    terms = _time_table(T, model.time_embed_dim)[distinct] @ weights[:, model.data_dim + model.label_dim :].T
+    terms = _time_table(T, model.time_embed_dim)[distinct] @ weights[:, model.data_dim :].T
     terms += model.params.bias(0)
     return terms, lookup
 
 
-def _branch_predictions(
-    model: Denoiser, noised: np.ndarray, time_rows: np.ndarray, labels: tuple, hs: list | None = None
-) -> np.ndarray:
+def _head_predictions(model: Denoiser, noised: np.ndarray, time_rows: np.ndarray, hs: list | None = None) -> np.ndarray:
     """The network's noise predictions for the noised data rows ``noised``
-    under each condition label of ``labels``; returns (len(labels), rows,
-    data_dim).
+    under each of its heads; returns (heads, rows, data_dim), a view of the
+    walk's (rows, heads * data_dim) output.
 
-    The first layer's pre-activation u = noised @ W_x.T + time_rows is
-    computed once per row (``time_rows`` holds each row's folded time and
-    bias terms, see _time_terms). A label adds label * W_l.sum(1), the
-    label columns' product when all of them hold the label's value; a
-    label is one value or a (rows, 1) column of values. A zero label, or a
-    label_dim of 0, adds nothing. The branches' rows are stacked branch by
-    branch and walk the layers above as one batch; given a list ``hs``,
-    that walk's activations [h_1, ..., out] are collected there for
-    _branch_gradient."""
+    The first layer's pre-activation noised @ W_x.T + time_rows is computed
+    once per row (``time_rows`` holds each row's folded time and bias
+    terms, see _time_terms), and each row walks the layers above once;
+    given a list ``hs``, that walk's activations [h_1, ..., out] are
+    collected there for _trunk_gradient."""
     layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
     weights, _, activation, _ = layers[0]
-    d, k, rows = model.data_dim, len(labels), noised.shape[0]
-    z = np.empty((k, rows, weights.shape[0]))
-    # the last branch's rows hold u until the others are built from them
-    u = np.matmul(noised, weights[:, :d].T, out=z[-1])
-    u += time_rows
-    w_label = weights[:, d : d + model.label_dim].sum(axis=1)
-    for b, label in enumerate(labels):
-        if model.label_dim and np.any(label):
-            np.add(u, label * w_label, out=z[b])
-        elif b < k - 1:
-            z[b] = u
-    h = nn_core._activate(z.reshape(k * rows, -1), activation)
-    return nn_core._forward(layers[1:], h, hs).reshape(k, rows, d)
+    d = model.data_dim
+    z = noised @ weights[:, :d].T
+    z += time_rows
+    out = nn_core._forward(layers[1:], nn_core._activate(z, activation), hs)
+    return out.reshape(noised.shape[0], -1, d).transpose(1, 0, 2)
 
 
-def _branch_gradient(
-    model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarray, upstream: np.ndarray, labels: tuple
-) -> np.ndarray:
+def _trunk_gradient(model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Exact gradient, with respect to the flat parameters, of
-    sum(upstream * outputs) over the stacked rows of the _branch_predictions
-    walk whose activations are ``hs``; each label is one value.
+    sum(upstream * outputs) over the (rows, heads * data_dim) outputs of
+    the _head_predictions walk whose activations are ``hs``.
 
     Layers 1 and up go through nn_core._backward. The first layer's
-    gradient comes from G, the gradient of its pre-activation summed over
-    the branches: G.T @ noised for the data columns, G.T @ features(ts)
-    for the time columns and colsum(G) for the bias; each label column
-    gets the sum over branches of label * colsum(that branch's gradient)."""
+    gradient comes from G, the gradient of its pre-activation: G.T @ noised
+    for the data columns, G.T @ features(ts) for the time columns and
+    colsum(G) for the bias."""
     layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
     weights, _, activation, offset = layers[0]
     width, n_in = weights.shape
-    d, n_label = model.data_dim, model.label_dim
+    d = model.data_dim
     grad = np.empty(len(model.params))
     g = nn_core._backward(layers[1:], hs, upstream, grad, input_grad=True)
     # a walk with no layers above hands back upstream itself
     g = nn_core._activation_backward(g, hs[0], activation, owned=len(layers) > 1)
-    g = g.reshape(len(labels), -1, width)
-    total = g[0]
-    for g_branch in g[1:]:
-        total = total + g_branch
     d_weights = grad[offset : offset + width * n_in].reshape(width, n_in)
-    d_weights[:, :d] = total.T @ noised
-    d_label = np.zeros(width)
-    for label, g_branch in zip(labels, g):
-        if label:
-            d_label += label * g_branch.sum(axis=0)
-    d_weights[:, d : d + n_label] = d_label[:, None]
+    d_weights[:, :d] = g.T @ noised
     # ts passed the _time_terms check of the walk that collected hs
-    d_weights[:, d + n_label :] = total.T @ _time_table(model.schedule.T, model.time_embed_dim)[ts]
-    np.sum(total, axis=0, out=grad[offset + width * n_in : offset + width * (n_in + 1)])
+    d_weights[:, d:] = g.T @ _time_table(model.schedule.T, model.time_embed_dim)[ts]
+    np.sum(g, axis=0, out=grad[offset + width * n_in : offset + width * (n_in + 1)])
     return grad
 
 
 def _row_predictions(model: Denoiser, noised: np.ndarray, ts: np.ndarray, label_rows: np.ndarray) -> np.ndarray:
     """Noise predictions for noised rows, each with its own timestep and
-    label row; a label row repeats one value over its label_dim columns."""
+    label row; a label row is a real (all ones) or fake (all zeros) label's
+    embedding and picks that label's head."""
     n = noised.shape[0]
     if label_rows.shape != (n, model.label_dim):
         raise ValueError(f"label rows must have shape ({n}, {model.label_dim}), got {label_rows.shape}")
-    if not (np.isfinite(noised).all() and np.isfinite(label_rows).all()):
+    if not np.isfinite(noised).all():
         raise ValueError("non-finite denoiser inputs")
-    label = label_rows[:, :1]
-    if np.any(label_rows != label):
-        raise ValueError("each label row must repeat one value")
+    real, fake = np.all(label_rows == 1.0, axis=1), np.all(label_rows == 0.0, axis=1)
+    if not np.all(real | fake):
+        raise ValueError("each label row must be all ones (real) or all zeros (fake)")
     terms, lookup = _time_terms(model, ts)
-    return _branch_predictions(model, noised, terms[lookup[ts]], (label if model.label_dim else 0.0,))[0]
+    # a label-blind denoiser's one head serves both labels
+    head = (fake & (model.label_dim > 0)).astype(np.intp)
+    return _head_predictions(model, noised, terms[lookup[ts]])[head, np.arange(n)]
 
 
 def batched_inputs(
@@ -307,14 +294,13 @@ def batched_inputs(
     x0_rows: np.ndarray,
     ts: np.ndarray,
     eps_rows: np.ndarray,
-    label_rows: np.ndarray,
 ) -> np.ndarray:
-    """Assemble the explicit network input rows [noised(x0) | label | time
+    """Assemble the explicit network input rows [noised(x0) | time
     features], the rows whose first-layer product the fold stands for."""
     ts = np.asarray(ts)
     features = model.time_features(ts)
     noised = _noised(model.schedule, np.asarray(x0_rows, dtype=np.float64), ts, np.asarray(eps_rows, dtype=np.float64))
-    return np.concatenate([noised, label_rows, features], axis=1)
+    return np.concatenate([noised, features], axis=1)
 
 
 def batched_losses(
@@ -328,13 +314,14 @@ def batched_losses(
 
     Loss is the mean over coordinates of the squared noise-prediction
     error, so its scale does not grow with the data dimension. The network
-    runs the first-layer fold of _branch_predictions; each label row
-    repeats one value, as ConditionLabel's do. ``inputs`` are the explicit
-    rows the fold stands for (batched_inputs), for nn_core.backward_batch.
+    runs the first-layer fold of _head_predictions; each label row is a
+    ConditionLabel's embedding and picks its head, whose predictions are
+    returned. ``inputs`` are the explicit rows the fold stands for
+    (batched_inputs), for nn_core.backward_batch.
     """
     eps_rows = np.asarray(eps_rows, dtype=np.float64)
     label_rows = np.asarray(label_rows, dtype=np.float64)
-    inputs = batched_inputs(model, x0_rows, ts, eps_rows, label_rows)
+    inputs = batched_inputs(model, x0_rows, ts, eps_rows)
     preds = _row_predictions(model, inputs[:, : model.data_dim], np.asarray(ts), label_rows)
     losses = np.mean((preds - eps_rows) ** 2, axis=1)
     return losses, inputs, preds
@@ -343,8 +330,8 @@ def batched_losses(
 def loss_grad_upstream(preds: np.ndarray, eps_rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Upstream rows for backward_batch when the scalar objective is
     sum_i coeffs[i] * loss_i with loss_i = mean((pred_i - eps_i)^2). The
-    leading axes of preds and coeffs may also be (branches, rows), with
-    eps_rows shared by the branches."""
+    leading axes of preds and coeffs may also be (heads, rows), with
+    eps_rows shared by the heads."""
     d = preds.shape[-1]
     return coeffs[..., None] * (2.0 / d) * (preds - eps_rows)
 

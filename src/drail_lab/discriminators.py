@@ -2,11 +2,10 @@
 
 Three ways to score how expert-like a state-action pair is:
 
-* drail: a condition-labeled denoiser evaluated under both the "real"
-  (all-ones) and "fake" (all-zeros) labels; the logit is the loss gap
-  L_fake - L_real under a shared noise draw, so the classifier compares
-  the pair's fit under the two hypotheses instead of thresholding a raw
-  loss value.
+* drail: a conditioned denoiser with a "real" and a "fake" output head
+  over one trunk; the logit is the loss gap L_fake - L_real under a
+  shared noise draw, so the classifier compares the pair's fit under the
+  two hypotheses instead of thresholding a raw loss value.
 * gail: a sigmoid MLP over the concatenated pair; the reward is the raw
   logit.
 * diffail: an unconditional denoiser whose single-draw loss L is mapped to
@@ -45,8 +44,8 @@ _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
 # schedule and its time-feature table grow with T, and the draws with the
 # cells x sample_count of a reward map. Scored a block of draws at a time
-# (at most 8192 walked rows), a 128-draw 101x121 map peaks at 108 MB
-# (1.62 GB when its 3.1M denoiser rows were built in one piece)
+# (at most 8192 walked rows), a 128-draw 101x121 map peaks near 110 MB
+# (1.62 GB when its rows, then one per draw and label, were built in one piece)
 MAX_SCHEDULE_STEPS = 100_000
 MAX_SAMPLE_COUNT = 128
 
@@ -120,19 +119,19 @@ class _DenoisingDiscriminator:
         return replace(self, sample_count=sample_count)
 
     def _losses(self, states: np.ndarray, actions: np.ndarray, rng, hs: list | None = None):
-        """Mean denoiser loss of each pair under each of the kind's label
-        branches, sample_count draws per pair, each draw shared by the branches.
+        """Mean denoiser loss of each pair under each of the denoiser's
+        heads (real, then fake; a label-blind one has one), sample_count
+        draws per pair, each draw shared by the heads.
 
         The draws run over the pairs, then a pair's sample_count draws. A
-        draw's noised row goes through the first layer once, and every
-        branch walks the layers above from it (see
-        diffusion._branch_predictions). Without ``hs`` the draws are scored
-        nn_core._FORWARD_BLOCK // branches at a time, so the stacked rows of
-        no more than one block coexist. Given a list ``hs``, all draws are
-        one block whose activations are collected there.
+        draw's noised row walks the network once and every head reads that
+        walk (see diffusion._head_predictions). Without ``hs`` the draws
+        are scored nn_core._FORWARD_BLOCK at a time, so the rows of no more
+        than one block coexist. Given a list ``hs``, all draws are one
+        block whose activations are collected there.
 
-        Returns (losses of shape (branches, n), (ts, eps), noised, preds):
-        the draw, then the noised rows and the (branches, rows, data_dim)
+        Returns (losses of shape (heads, n), (ts, eps), noised, preds):
+        the draw, then the noised rows and the (heads, rows, data_dim)
         predictions of the last block.
         """
         n, m = states.shape[0], self.sample_count
@@ -141,26 +140,26 @@ class _DenoisingDiscriminator:
         ts = rng.integers(1, den.schedule.T + 1, size=n * m)
         eps = rng.standard_normal((n * m, den.data_dim))
         time_terms, lookup = diffusion._time_terms(den, ts)
-        k = len(self.branch_labels)
-        block = n * m if hs is not None else nn_core._FORWARD_BLOCK // k
-        losses = np.empty((k, n * m))
+        block = n * m if hs is not None else nn_core._FORWARD_BLOCK
+        losses = np.empty((diffusion._heads(den.label_dim), n * m))
         for lo in range(0, n * m, block):
             rows = slice(lo, lo + block)
             pairs = np.arange(lo, min(lo + block, n * m)) // m
             noised = diffusion._noised(den.schedule, x0[pairs], ts[rows], eps[rows])
-            preds = diffusion._branch_predictions(den, noised, time_terms[lookup[ts[rows]]], self.branch_labels, hs)
+            preds = diffusion._head_predictions(den, noised, time_terms[lookup[ts[rows]]], hs)
             losses[:, rows] = np.mean((preds - eps[rows]) ** 2, axis=2)
         if not np.all(np.isfinite(losses)):
             raise ValueError("non-finite denoiser output")
-        return losses.reshape(k, n, m).mean(axis=2), (ts, eps), noised, preds
+        return losses.reshape(-1, n, m).mean(axis=2), (ts, eps), noised, preds
 
     def _gradient(self, hs: list, draw: tuple, noised: np.ndarray, preds: np.ndarray, coeffs: np.ndarray):
-        """Parameter gradient of sum over b, i of coeffs[b, i] times the
-        loss of draw i under branch b, for a one-block _losses call that
+        """Parameter gradient of sum over h, i of coeffs[h, i] times the
+        loss of draw i under head h, for a one-block _losses call that
         collected ``hs``."""
         ts, eps = draw
-        upstream = diffusion.loss_grad_upstream(preds, eps, coeffs).reshape(-1, eps.shape[1])
-        return diffusion._branch_gradient(self.denoiser, hs, noised, ts, upstream, self.branch_labels)
+        upstream = diffusion.loss_grad_upstream(preds, eps, coeffs)
+        return diffusion._trunk_gradient(self.denoiser, hs, noised, ts,
+                                         upstream.transpose(1, 0, 2).reshape(eps.shape[0], -1))
 
     def _adam_step(self, grad: np.ndarray):
         """The snapshot after one Adam step of the denoiser along ``grad``."""
@@ -213,13 +212,11 @@ class _DenoisingDiscriminator:
 
 @dataclass(frozen=True)
 class DrailClassifier(_DenoisingDiscriminator):
-    """Conditional denoiser + optimizer; sample_count draws are averaged
-    per logit evaluation, with each draw shared by both label branches."""
+    """Conditioned denoiser + optimizer; sample_count draws are averaged
+    per logit evaluation, with each draw shared by the real and fake heads."""
 
     kind = "drail"
     code = 2
-    # the "real" and the "fake" condition label
-    branch_labels = (1.0, 0.0)
 
     def update(self, expert_batch, agent_batch, rng):
         return drail_update(self, expert_batch, agent_batch, rng)
@@ -247,18 +244,23 @@ def build_drail(
     return DrailClassifier(den, AdamState.fresh(len(den.params), lr), sample_count)
 
 
+def _loss_gap(losses: np.ndarray) -> np.ndarray:
+    """L_fake - L_real from _losses' per-head losses: the last head's minus
+    the first's, so a label-blind net's one head gives exactly 0."""
+    return losses[-1] - losses[0]
+
+
 def drail_logit_batch(clf: DrailClassifier, states: np.ndarray, actions: np.ndarray, rng) -> np.ndarray:
     """Loss gaps L_fake - L_real for a batch, one shared draw set per pair."""
     states, actions = _check_batch((states, actions), clf.state_dim, clf.action_dim, "input")
-    (loss_real, loss_fake), *_ = clf._losses(states, actions, rng)
-    return loss_fake - loss_real
+    return _loss_gap(clf._losses(states, actions, rng)[0])
 
 
 def drail_logit(clf: DrailClassifier, s: np.ndarray, a: np.ndarray, rng):
     """Single-pair logit; returns (delta, (ts, eps)) so the draw can be replayed."""
     states, actions = _check_batch((s, a), clf.state_dim, clf.action_dim, "input")
-    (loss_real, loss_fake), draw, *_ = clf._losses(states, actions, rng)
-    return float(loss_fake[0] - loss_real[0]), draw
+    losses, draw, *_ = clf._losses(states, actions, rng)
+    return float(_loss_gap(losses)[0]), draw
 
 
 def drail_prob(delta: float) -> float:
@@ -286,14 +288,17 @@ def drail_disc_loss(
     on agent pairs."""
     states, actions, n_e = _loss_batch(clf, expert_batch, agent_batch)
     hs: list[np.ndarray] = []
-    (loss_real, loss_fake), draw, noised, preds = clf._losses(states, actions, rng, hs)
-    loss, dd = _logit_xent(loss_fake - loss_real, n_e)
-    # d loss / d delta_i, spread over the per-draw rows of each branch
-    # (each of the M draws contributes 1/M of the sample's delta); real
-    # rows carry -1, fake rows +1
+    losses, draw, noised, preds = clf._losses(states, actions, rng, hs)
+    loss, dd = _logit_xent(_loss_gap(losses), n_e)
+    # d loss / d delta_i, spread over the per-draw rows of each head (each
+    # of the M draws contributes 1/M of the sample's delta); the real head
+    # carries -1, the fake head +1, and a label-blind net's one head both
     m = clf.sample_count
     per_row = np.repeat(dd / m, m)
-    return loss, clf._gradient(hs, draw, noised, preds, np.stack([-per_row, per_row]))
+    coeffs = np.zeros((len(losses), per_row.size))
+    coeffs[0] -= per_row
+    coeffs[-1] += per_row
+    return loss, clf._gradient(hs, draw, noised, preds, coeffs)
 
 
 def drail_update(
@@ -418,8 +423,6 @@ class DiffailDiscriminator(_DenoisingDiscriminator):
 
     kind = "diffail"
     code = 1
-    # one unconditional branch: its label has no columns
-    branch_labels = (0.0,)
 
     def __post_init__(self) -> None:
         if self.denoiser.label_dim != 0:

@@ -35,6 +35,10 @@ DEFAULT_HORIZON = 200
 _START_MID = (-0.7, -0.7)
 _GOAL_MID = (0.7, 0.7)
 _RESET_SPREAD = 0.2
+# the largest noise_scale a run, an expert or an eval may ask for: goals
+# then land up to 20 from the arena, and every point_reach train still
+# computes finite values (at 1e3 a diffail update overflows expm1)
+_MAX_NOISE_SCALE = 100.0
 PD_KP = 4.0
 PD_KD = 6.0
 # single-wall variant: a slab around x=0 reaching up to y=0.4
@@ -526,8 +530,8 @@ class PointReach(_VectorEnv):
         wall: bool = False,
         n_envs: int = 1,
     ) -> None:
-        if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
-            raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+        if not 0.0 <= noise_scale <= _MAX_NOISE_SCALE:  # NaN fails too
+            raise ValueError(f"noise_scale must be >= 0 and <= {_MAX_NOISE_SCALE:g}, got {noise_scale}")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         super().__init__(seed, n_envs)

@@ -82,11 +82,12 @@ def _logp_from_sq(sq: np.ndarray, log_std_sum) -> np.ndarray:
 
 def _draw_rows(layers: tuple, std: np.ndarray, x: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """The mean rows of the mean-net walk ``layers`` on the checked rows
-    ``x``, and one Gaussian action per row: mean + std * N(0, 1)."""
+    ``x``, and one action per row: mean + std * N(0, 1), or without ``rng``
+    the mean itself."""
     means = nn_core._forward(layers, x)
     if not np.isfinite(means).all():
         raise NumericalAbort("policy mean is non-finite")
-    return means, means + std * rng.standard_normal(means.shape)
+    return means, means if rng is None else means + std * rng.standard_normal(means.shape)
 
 
 def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarray, float]:

@@ -120,7 +120,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         # a run never writes a checkpoint it cannot load, and labeling allocates all its draws up front
         for name, limit in (("schedule_steps", MAX_SCHEDULE_STEPS), ("sample_count", MAX_SAMPLE_COUNT),
-                            ("reward_sample_count", MAX_SAMPLE_COUNT)):
+                            ("reward_sample_count", MAX_SAMPLE_COUNT), ("noise_scale", envs._MAX_NOISE_SCALE)):
             if getattr(self, name) > limit:
                 raise ValueError(f"{name} must be <= {limit}")
         if self.max_expert_trajectories is not None and self.max_expert_trajectories < 1:
@@ -214,7 +214,7 @@ def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
 
     def act(obs):
         x = nn_core._as_batch(obs, policy.state_dim, "input")
-        actions = _draw_rows(layers, std, x, rng)[1] if stochastic else nn_core._forward(layers, x)
+        actions = _draw_rows(layers, std, x, rng if stochastic else None)[1]
         return actions[0] if np.ndim(obs) == 1 else actions
 
     return act

@@ -195,9 +195,11 @@ def evaluate_reference(actor: Callable, n_episodes: int, seed: int, horizon: int
 
 def predict_noise_reference(model, x_t: np.ndarray, t: int, label) -> np.ndarray:
     """The denoiser's output for one corrupted vector, as one explicit
-    input row [x_t | label | time features] through the whole network."""
-    row = np.concatenate([x_t, label.embedding, model.time_features(np.asarray([t]))[0]])
-    return nn_core.forward(model.params, model.specs, row)
+    input row [x_t | time features] through the whole network, sliced to
+    the label's head: real first, then fake; a label-blind net has one."""
+    row = np.concatenate([x_t, model.time_features(np.asarray([t]))[0]])
+    head = 1 if model.label_dim and label.kind == "fake" else 0
+    return nn_core.forward(model.params, model.specs, row)[head * model.data_dim : (head + 1) * model.data_dim]
 
 
 def diffusion_loss_reference(model, s: np.ndarray, a: np.ndarray, label, t: int, eps: np.ndarray) -> float:
@@ -216,37 +218,36 @@ def draw_like_losses(disc, n: int, rng: np.random.Generator) -> tuple[np.ndarray
 
 
 def explicit_denoiser_rows(disc, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
-    """The explicit input rows [noised | label | time features] of every
-    label branch, branch by branch, for the draw the discriminator takes
-    from rng; returns (inputs, eps rows of the same order)."""
+    """The explicit input rows [noised | time features], one per draw, for
+    the draw the discriminator takes from rng; returns (inputs, eps rows
+    of the same order)."""
     ts, eps = draw_like_losses(disc, states.shape[0], rng)
     x0 = np.repeat(np.concatenate([states, actions], axis=1), disc.sample_count, axis=0)
-    den = disc.denoiser
-    inputs = [diffusion.batched_inputs(den, x0, ts, eps, np.full((ts.size, den.label_dim), v))
-              for v in disc.branch_labels]
-    return np.concatenate(inputs), np.concatenate([eps] * len(disc.branch_labels))
+    return diffusion.batched_inputs(disc.denoiser, x0, ts, eps), eps
+
+
+def head_losses(outputs: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Per-draw losses of each head from the (rows, heads * data_dim)
+    network outputs; returns shape (heads, rows)."""
+    return np.mean((outputs.reshape(eps.shape[0], -1, eps.shape[1]) - eps[:, None, :]) ** 2, axis=2).T
 
 
 def denoiser_losses_one_piece(disc, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A drail or diffail discriminator's mean loss per label branch and
-    pair, its folded first-layer rows built in one piece: the noised rows
-    of every draw through the data columns, plus the time and bias terms
-    of each distinct timestep, plus each branch's label term; then the
-    layers above walk all branches' rows at once. Returns shape
-    (branches, pairs)."""
+    """A drail or diffail discriminator's mean loss per head and pair, its
+    folded first-layer rows built in one piece: the noised rows of every
+    draw through the data columns, plus the time and bias terms of each
+    distinct timestep; then the layers above walk all rows at once.
+    Returns shape (heads, pairs)."""
     n, m = states.shape[0], disc.sample_count
     den = disc.denoiser
-    d, n_label, k = den.data_dim, den.label_dim, len(disc.branch_labels)
+    d = den.data_dim
     ts, eps = draw_like_losses(disc, n, rng)
     x0 = np.repeat(np.concatenate([states, actions], axis=1), m, axis=0)
     ab = den.schedule.alpha_bar[ts]
     noised = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
     weights, bias = den.params.weights(0), den.params.bias(0)
     distinct, inverse = np.unique(ts, return_inverse=True)
-    terms = den.time_features(distinct) @ weights[:, d + n_label :].T + bias
-    u = noised @ weights[:, :d].T + terms[inverse]
-    w_label = weights[:, d : d + n_label].sum(axis=1)
-    h = np.maximum(np.concatenate([u + v * w_label if n_label and v else u for v in disc.branch_labels]), 0.0)
+    terms = den.time_features(distinct) @ weights[:, d:].T + bias
+    h = np.maximum(noised @ weights[:, :d].T + terms[inverse], 0.0)
     out = nn_core._forward(nn_core._layers(den.params.values, den.params.layout, den.specs)[1:], h)
-    losses = np.mean((out.reshape(k, n * m, d) - eps) ** 2, axis=2)
-    return losses.reshape(k, n, m).mean(axis=2)
+    return head_losses(out, eps).reshape(-1, n, m).mean(axis=2)

@@ -17,7 +17,7 @@ import pytest
 
 from drail_lab import diffusion, nn_core
 from drail_lab import policy_opt as po
-from drail_lab.diffusion import build_cosine_schedule, build_denoiser, diffusion_loss_single, real_label
+from drail_lab.diffusion import build_cosine_schedule, build_denoiser, diffusion_loss_single, fake_label, real_label
 from drail_lab.discriminators import (
     build_diffail,
     build_drail,
@@ -193,22 +193,25 @@ def test_criterion_03_gradient_suite():
     rng = np.random.default_rng(303)
     errs = {}
 
-    # denoiser noise-prediction loss
+    # denoiser noise-prediction loss under each label; a label's loss reads
+    # its own head, so the other head's upstream columns are zero
     den = build_denoiser(1, 1, 2, hidden=(8,), time_embed_dim=4, seed=13)
     s, a = np.array([0.31]), np.array([-0.44])
-    t, eps, label = 40, np.array([0.5, -1.1]), real_label(2)
-    _, inputs, preds = diffusion.batched_losses(
-        den, np.concatenate([s, a])[None, :], np.array([t]), eps[None, :], label.embedding[None, :]
-    )
-    upstream = diffusion.loss_grad_upstream(preds, eps[None, :], np.ones(1))
-    grad = nn_core.backward_batch(den.params, den.specs, inputs, upstream)
-    errs["denoiser"] = rel_err(
-        grad,
-        fd_grad(
-            lambda th: diffusion_loss_single(den.with_params(den.params.with_values(th)), s, a, label, t, eps),
-            den.params.values,
-        ),
-    )
+    t, eps = 40, np.array([0.5, -1.1])
+    for head, label in enumerate((real_label(2), fake_label(2))):
+        _, inputs, preds = diffusion.batched_losses(
+            den, np.concatenate([s, a])[None, :], np.array([t]), eps[None, :], label.embedding[None, :]
+        )
+        upstream = np.zeros((1, 4))
+        upstream[:, 2 * head : 2 * head + 2] = diffusion.loss_grad_upstream(preds, eps[None, :], np.ones(1))
+        grad = nn_core.backward_batch(den.params, den.specs, inputs, upstream)
+        errs[f"denoiser-{label.kind}"] = rel_err(
+            grad,
+            fd_grad(
+                lambda th: diffusion_loss_single(den.with_params(den.params.with_values(th)), s, a, label, t, eps),
+                den.params.values,
+            ),
+        )
 
     se, ae = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 1))
     sa, aa = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 1))

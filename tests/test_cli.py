@@ -16,7 +16,7 @@ import drail_lab
 from drail_lab import cli, nn_core, trainer
 from drail_lab.discriminators import build_diffail, build_drail, build_gail, save_discriminator
 from drail_lab.envs import dataset_load
-from drail_lab.policy_opt import build_policy, save_policy
+from drail_lab.policy_opt import GaussianPolicy, build_policy, save_policy
 
 
 def run_cli(*argv):
@@ -101,7 +101,7 @@ def test_gen_expert_unreachable_horizon_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
 @pytest.mark.parametrize("command", ["gen-expert", "eval"])
 def test_bad_noise_scale_exits_2_naming_the_flag(tmp_path, capsys, command, value):
     # rejected before any work: no dataset written, no episode run, no numpy warning
@@ -197,6 +197,43 @@ def test_train_nonexistent_expert_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expert", ["four-byte", "wrong-widths"])
+def test_train_bad_expert_exits_2_without_a_run_directory(tmp_path, sine_dataset, capsys, expert):
+    # train loads and checks the expert; the run directory waits for artifacts
+    if expert == "four-byte":
+        path = tmp_path / "e.drld"
+        path.write_bytes(b"DRLD")
+        cfg = _tiny_config(str(path))
+    else:
+        cfg = _tiny_config(sine_dataset, env="point_reach")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("train", "--config", str(cfg_path), "-o", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "r")
+
+
+def _overflowing_policy():
+    """A 1->4->1 policy whose every mean-net value is 1e308: its means overflow."""
+    policy = build_policy(1, 1, (4,), seed=0)
+    return GaussianPolicy(policy.mean_params.with_values(np.full(len(policy.mean_params), 1e308)), policy.specs,
+                          policy.log_std)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stochastic", [False, True])
+def test_train_with_an_overflowing_policy_is_a_numerical_abort(tmp_path, sine_dataset, capsys, monkeypatch,
+                                                               stochastic):
+    # the values come from the run, so evaluating them is a stage of it
+    monkeypatch.setattr(trainer, "bc_train", lambda *args: _overflowing_policy())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(sine_dataset, method="bc", eval_stochastic=stochastic)))
+    assert run_cli("train", "--config", str(cfg_path), "-o", str(tmp_path / "r")) == 3
+    assert capsys.readouterr().err == "numerical abort: iteration 1, evaluation: policy mean is non-finite\n"
+    assert not os.path.exists(tmp_path / "r")
+
+
 def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     cfg = _tiny_config(sine_dataset)
     cfg["disc_widht"] = [8]
@@ -213,6 +250,7 @@ def test_train_unknown_config_key_named(tmp_path, sine_dataset, capsys):
     ("ppo.epochs=0", "ppo.epochs"),
     ("ppo.minibatch_size=0", "ppo.minibatch_size"),
     ("noise_scale=-1", "noise_scale"),  # the sine world ignores both, yet they must be valid
+    ("noise_scale=1e308", "noise_scale"),
     ("horizon=0", "horizon"),
     ("schedule_steps=100001", "schedule_steps"),  # past what a checkpoint may declare
     ("reward_sample_count=129", "reward_sample_count"),  # labeling allocates every draw up front
@@ -324,12 +362,22 @@ def test_eval_policy_for_another_env_exits_2_naming_both_widths(tmp_path, capsys
     assert repr(env) in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [[], ["--stochastic"]])
+def test_eval_of_an_overflowing_policy_exits_2_naming_the_file(tmp_path, capsys, mode):
+    path = str(tmp_path / "big.drlp")
+    save_policy(path, _overflowing_policy())
+    assert run_cli("eval", path, "--env", "sine", "--episodes", "3", *mode) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: policy {path}:") and err.count("\n") == 1, err
+
+
 # --- reward-map --------------------------------------------------------------------
 
 
 def test_reward_map_layout_and_untrained_values(tmp_path):
-    # label_dim=0 keeps both branches identical, so an untrained classifier
-    # scores exactly 0.5 everywhere; labeled fresh nets have much wider spread
+    # label_dim=0 gives one head that both labels read, so an untrained
+    # classifier scores exactly 0.5 everywhere; labeled fresh nets have much wider spread
     ckpt = str(tmp_path / "d.drlp")
     save_discriminator(ckpt, build_drail(1, 1, label_dim=0, hidden=(16, 16), T=16, seed=4))
     out = str(tmp_path / "grid.csv")
@@ -362,8 +410,9 @@ _MAXRSS_LAUNCHER = (
 
 
 def test_reward_map_peak_memory_stays_bounded(tmp_path):
-    # 101x121 cells x 4 draws x 2 label branches is 97,768 denoiser rows per
-    # call; walked in one piece their activations peak near 250 MB
+    # 101x121 cells x 4 draws is 48,884 denoiser rows per call, each walked
+    # once for both heads; walked in one piece (twice over, when each label
+    # walked its own rows) their activations peaked near 250 MB
     ckpt = str(tmp_path / "d.drlp")
     save_discriminator(ckpt, build_drail(1, 1, sample_count=4, seed=2))
     src = os.path.dirname(os.path.dirname(os.path.abspath(drail_lab.__file__)))
@@ -378,8 +427,8 @@ def test_reward_map_peak_memory_stays_bounded(tmp_path):
 
 
 def test_reward_map_memory_does_not_grow_with_draws(tmp_path):
-    # 101x121 cells x 128 draws x 2 label branches is 3.1M denoiser rows;
-    # built in one piece they peak near 1.6 GB, scored a block at a time
+    # 101x121 cells x 128 draws is 1.6M denoiser rows (3.1M when each label
+    # walked its own); built in one piece those peaked near 1.6 GB, scored a block at a time
     # only the draws and the per-row losses grow with them
     ckpt = str(tmp_path / "d.drlp")
     save_discriminator(ckpt, build_drail(1, 1, sample_count=128, seed=2))
@@ -399,6 +448,17 @@ def test_reward_map_rejects_policy_checkpoint(tmp_path, capsys):
     save_policy(ckpt, build_policy(1, 1, (8, 8), seed=0))
     out = str(tmp_path / "grid.csv")
     assert run_cli("reward-map", ckpt, "-o", out) == 2
+
+
+def test_reward_map_of_a_label_column_drail_checkpoint_exits_2_naming_the_input_width(tmp_path, capsys):
+    # drail checkpoints of ten label input columns and one output head, as
+    # written before the label picked an output head, are not read
+    _, _, trailer = build_drail(1, 1, hidden=(8,), T=8, seed=0).checkpoint()
+    specs = nn_core.mlp_specs((1 + 1 + 10 + 16, 8, 2), "relu")
+    ckpt = str(tmp_path / "old.drlp")
+    nn_core.save_params(ckpt, nn_core.init_params(specs, 0), specs, trailer)
+    assert run_cli("reward-map", ckpt, "-o", str(tmp_path / "g.csv")) == 2
+    assert capsys.readouterr().err == "error: denoiser input width 28 != 18\n"
 
 
 def test_reward_map_bad_resolution(tmp_path, capsys):

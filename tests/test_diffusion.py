@@ -157,8 +157,10 @@ def test_time_features_reject_timesteps_outside_the_schedule():
 
 def test_denoiser_shapes():
     model = build_denoiser(state_dim=2, action_dim=1, label_dim=10, hidden=(16,), time_embed_dim=8)
-    assert model.specs[0].in_dim == 2 + 1 + 10 + 8
-    assert model.specs[-1].out_dim == 3
+    # no label columns in: the label picks one of a real and a fake head out
+    assert model.specs[0].in_dim == 2 + 1 + 8
+    assert model.specs[-1].out_dim == 2 * 3
+    assert build_denoiser(2, 1, 0, hidden=(16,), time_embed_dim=8).specs[-1].out_dim == 3
     assert model.specs[0].activation == "relu"
     assert model.specs[-1].activation == "identity"
 
@@ -168,7 +170,7 @@ def test_denoiser_rejects_negative_dims():
     with pytest.raises(ValueError, match="label_dim"):
         build_denoiser(1, 1, -1)
     with pytest.raises(ValueError, match="time_embed_dim"):
-        build_denoiser(1, 1, 2, time_embed_dim=-2)
+        build_denoiser(2, 1, 2, time_embed_dim=-2)
 
 
 def test_predict_noise_zero_net():
@@ -185,13 +187,14 @@ def test_predict_noise_matches_explicit_concat():
     a = np.array([0.7])
     x_t = np.array([0.5, 0.5, 0.5])
     t = 7
-    # the first layer is folded (data, time and label terms apart), so the
-    # explicit row's one product agrees to rounding, not bit for bit
-    for label in (fake_label(3), real_label(3)):
+    # the first layer is folded (data and time terms apart), so the
+    # explicit row's one product agrees to rounding, not bit for bit; the
+    # label picks the real (first) or the fake (second) head
+    out = nn_core.forward(model.params, model.specs, np.concatenate([x_t, time_embedding(t, model.schedule.T, 4)]))
+    for label, want in ((real_label(3), out[:3]), (fake_label(3), out[3:])):
         got = predict_noise(model, s, a, x_t, t, label)
-        row = np.concatenate([x_t, label.embedding, time_embedding(t, model.schedule.T, 4)])
-        want = nn_core.forward(model.params, model.specs, row)
         assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.any(out[:3] != out[3:])
 
 
 def test_predict_noise_dim_mismatch():
@@ -271,18 +274,20 @@ def test_loss_gradient_matches_finite_differences():
     a = np.array([-0.44])
     t = 40
     eps = np.array([0.5, -1.1])
-    label = real_label(2)
 
-    losses, inputs, preds = diffusion.batched_losses(
-        model, np.array([np.concatenate([s, a])]), np.array([t]), np.array([eps]), label.embedding[None, :]
-    )
-    upstream = diffusion.loss_grad_upstream(preds, np.array([eps]), np.ones(1))
-    grad = nn_core.backward_batch(model.params, model.specs, inputs, upstream)
+    # each label's loss reads its own head: the other head's upstream is zero
+    for head, label in enumerate((real_label(2), fake_label(2))):
+        losses, inputs, preds = diffusion.batched_losses(
+            model, np.array([np.concatenate([s, a])]), np.array([t]), np.array([eps]), label.embedding[None, :]
+        )
+        upstream = np.zeros((1, 4))
+        upstream[:, 2 * head : 2 * head + 2] = diffusion.loss_grad_upstream(preds, np.array([eps]), np.ones(1))
+        grad = nn_core.backward_batch(model.params, model.specs, inputs, upstream)
 
-    def scalar(theta):
-        return diffusion_loss_single(model.with_params(model.params.with_values(theta)), s, a, label, t, eps)
+        def scalar(theta):
+            return diffusion_loss_single(model.with_params(model.params.with_values(theta)), s, a, label, t, eps)
 
-    assert rel_err(grad, fd_grad(scalar, model.params.values)) < 1e-5
+        assert rel_err(grad, fd_grad(scalar, model.params.values)) < 1e-5
 
 
 def test_batched_losses_match_single():

@@ -36,37 +36,36 @@ from drail_lab.discriminators import (
 )
 from drail_lab.nn_core import AdamState, LayerSpec, ParamStore
 
-from oracles import denoiser_losses_one_piece, explicit_denoiser_rows, fd_grad, rel_err
+from oracles import denoiser_losses_one_piece, explicit_denoiser_rows, fd_grad, head_losses, rel_err
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-def _identity_denoiser(values, label_dim=1, alpha_bar=(1.0, 1e-30)):
-    """One identity layer over [x_t | label | time(2)], hand-set weights."""
-    specs = (LayerSpec(2 + label_dim + 2, 2, "identity"),)
+def _identity_denoiser(values, alpha_bar=(1.0, 1e-30)):
+    """One identity layer from [x_t | time(2)] to a real and a fake head,
+    two outputs each, hand-set weights."""
+    specs = (LayerSpec(2 + 2, 4, "identity"),)
     params = ParamStore(np.asarray(values, dtype=np.float64), nn_core.layout_for(specs))
     return Denoiser(
         params=params,
         specs=specs,
         state_dim=1,
         action_dim=1,
-        label_dim=label_dim,
+        label_dim=1,
         time_embed_dim=2,
         schedule=NoiseSchedule(T=1, alpha_bar=np.asarray(alpha_bar), s_offset=0.008),
     )
 
 
 def _constant_gap_classifier():
-    """x0=0 and alpha_bar_1 ~ 0 make x_t = eps exactly; the identity layer
-    copies it, the fake branch adds bias b, the real branch adds b + w = 0.
-    With mean(b^2) = ln 3 the loss gap is exactly ln 3."""
+    """x0=0 and alpha_bar_1 ~ 0 make x_t = eps exactly; both heads of the
+    identity layer copy it, and the fake head adds bias b. With mean(b^2) =
+    ln 3 the loss gap is exactly ln 3."""
     b = math.sqrt(LN3)
-    w = np.zeros((2, 5))
-    w[0, 0] = w[1, 1] = 1.0  # copy x_t
-    w[0, 2] = -b  # real-label column cancels the bias
-    w[1, 2] = -b
-    values = np.concatenate([w.ravel(), [b, b]])
+    w = np.zeros((4, 4))
+    w[0, 0] = w[1, 1] = w[2, 0] = w[3, 1] = 1.0  # copy x_t into each head
+    values = np.concatenate([w.ravel(), [0.0, 0.0, b, b]])
     den = _identity_denoiser(values)
     return DrailClassifier(den, AdamState.fresh(len(den.params), 1e-3), sample_count=1)
 
@@ -74,12 +73,12 @@ def _constant_gap_classifier():
 def _sign_separating_classifier():
     """Scaling the x_t copy path by 1/sqrt(1-ab) makes the injected noise
     cancel exactly out of the loss gap, leaving a linear function of x0
-    that is +20 on state +1 and -20 on state -1."""
+    that is +20 on state +1 and -20 on state -1: the heads differ only in
+    the first coordinate's bias, -10 sqrt(3) real and +10 sqrt(3) fake."""
     scale = 1.0 / math.sqrt(0.75)
-    w = np.zeros((2, 5))
-    w[0, 0] = w[1, 1] = scale
-    w[0, 2] = -20.0 * math.sqrt(3.0)
-    values = np.concatenate([w.ravel(), [10.0 * math.sqrt(3.0), 0.0]])
+    w = np.zeros((4, 4))
+    w[0, 0] = w[1, 1] = w[2, 0] = w[3, 1] = scale
+    values = np.concatenate([w.ravel(), [-10.0 * math.sqrt(3.0), 0.0, 10.0 * math.sqrt(3.0), 0.0]])
     den = _identity_denoiser(values, alpha_bar=(1.0, 0.25))
     return DrailClassifier(den, AdamState.fresh(len(den.params), 1e-3), sample_count=1)
 
@@ -498,9 +497,28 @@ def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
     assert rel_err(grad[:first], explicit[:first]) <= 1e-12
 
 
+def test_conditioned_drail_walks_each_draw_row_once(monkeypatch):
+    # the label picks an output head, so the layers above the first walk
+    # n x sample_count draw rows per _losses call, not one copy per label
+    walked = []
+    forward = nn_core._forward
+
+    def spy(layers, x, hs=None):
+        walked.append(x.shape[0])
+        return forward(layers, x, hs)
+
+    monkeypatch.setattr(nn_core, "_forward", spy)
+    clf = build_drail(2, 1, label_dim=10, hidden=(16, 16), T=50, sample_count=3, seed=0)
+    rng = np.random.default_rng(2)
+    states, actions = rng.uniform(-1, 1, (7, 2)), rng.uniform(-1, 1, (7, 1))
+    clf._losses(states, actions, rng)
+    clf._losses(states, actions, rng, [])
+    assert walked == [7 * 3, 7 * 3]
+
+
 # denoiser rows per call: one pair, exactly one block, and 3.5 blocks. A
-# block holds nn_core._FORWARD_BLOCK // branches draws, walked under every
-# branch at once; the one-piece reference walks all rows in one call. BLAS
+# block holds nn_core._FORWARD_BLOCK draws, each walked once for every
+# head; the one-piece reference walks all rows in one call. BLAS
 # rounds a row alike in any call of a few thousand rows, but not in small
 # calls: on the sine maps' 1-D state and action, scoring in blocks of 512
 # rows instead of 8192 changes bytes.
@@ -513,7 +531,7 @@ def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows)
     else:
         label_dim = 0 if kind == "drail_unlabeled" else 4
         disc = build_drail(1, 1, label_dim=label_dim, hidden=(32, 32), T=50, sample_count=sample_count, seed=3)
-    n = max(1, rows // (len(disc.branch_labels) * sample_count))
+    n = max(1, rows // sample_count)
     rng = np.random.default_rng(8)
     states, actions = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
     want = denoiser_losses_one_piece(disc, states, actions, np.random.default_rng(4))
@@ -522,14 +540,14 @@ def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows)
         assert got.tobytes() == want[0].tobytes()
         return
     got = drail_logit_batch(disc, states, actions, np.random.default_rng(4))
-    assert got.tobytes() == (want[1] - want[0]).tobytes()
+    assert got.tobytes() == (want[-1] - want[0]).tobytes()
     if kind == "drail_unlabeled":
         assert np.all(got == 0.0)
 
 
-# the fold against the explicit rows [noised | label | time features]
-# through the whole network: drail with 0, 4 and 10 label columns and
-# diffail, one and four draws, sine's 1-D and point_reach's 6+2 dims; the
+# the fold against the explicit rows [noised | time features] through the
+# whole network, sliced into its heads: drail with label_dim 0 (one head),
+# 4 and 10 (a real and a fake head) and diffail, one and four draws, sine's 1-D and point_reach's 6+2 dims; the
 # ids name the sinusoidal time features every case runs with
 _FOLD_KINDS = [("drail", 0), ("drail", 4), ("drail", 10), ("diffail", 0)]
 
@@ -548,20 +566,22 @@ def test_folded_first_layer_matches_explicit_rows(kind, label_dim, sample_count,
     expert = (rng.uniform(-1, 1, (9, state_dim)), rng.uniform(-1, 1, (9, action_dim)))
     agent = (rng.uniform(-1, 1, (7, state_dim)), rng.uniform(-1, 1, (7, action_dim)))
     states, actions = np.concatenate([expert[0], agent[0]]), np.concatenate([expert[1], agent[1]])
-    n, m, n_e, k = states.shape[0], sample_count, 9, len(disc.branch_labels)
+    n, m, n_e = states.shape[0], sample_count, 9
     den = disc.denoiser
     inputs, eps = explicit_denoiser_rows(disc, states, actions, np.random.default_rng(3))
     preds = nn_core.forward_batch(den.params, den.specs, inputs)
-    losses = np.mean((preds - eps) ** 2, axis=1).reshape(k, n, m).mean(axis=2)
+    losses = head_losses(preds, eps).reshape(-1, n, m).mean(axis=2)
+    assert losses.shape[0] == (2 if label_dim else 1)
 
     if kind == "drail":
         logits = drail_logit_batch(disc, states, actions, np.random.default_rng(3))
-        assert np.max(np.abs(logits - (losses[1] - losses[0]))) <= 1e-12
+        assert np.max(np.abs(logits - (losses[-1] - losses[0]))) <= 1e-12
         if label_dim == 0:
             assert np.all(logits == 0.0)
-        want_loss, dz = disc_mod._logit_xent(losses[1] - losses[0], n_e)
+        want_loss, dz = disc_mod._logit_xent(losses[-1] - losses[0], n_e)
         per_row = np.repeat(dz / m, m)
-        coeffs = np.concatenate([-per_row, per_row])
+        # real head -1, fake head +1; a label-blind net's one head gets both
+        coeffs = np.stack([-per_row, per_row]) if label_dim else np.zeros((1, n * m))
         loss, grad = drail_disc_loss(disc, expert, agent, np.random.default_rng(3))
     else:
         L = losses[0]
@@ -569,10 +589,11 @@ def test_folded_first_layer_matches_explicit_rows(kind, label_dim, sample_count,
         La = np.maximum(L[n_e:], DIFFAIL_LOSS_FLOOR)
         want_loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
         dL = np.concatenate([np.full(n_e, 1.0 / n_e), -1.0 / np.expm1(La) / (n - n_e)])
-        coeffs = np.repeat(dL / m, m)
+        coeffs = np.repeat(dL / m, m)[None, :]
         loss, grad = diffail_disc_loss(disc, expert, agent, np.random.default_rng(3))
     assert abs(loss - want_loss) <= 1e-12
-    upstream = loss_grad_upstream(preds, eps, coeffs)
+    rows = preds.shape[0]
+    upstream = loss_grad_upstream(preds.reshape(rows, -1, den.data_dim), eps[:, None, :], coeffs.T).reshape(rows, -1)
     assert rel_err(grad, nn_core.backward_batch(den.params, den.specs, inputs, upstream)) <= 1e-12
 
 

@@ -38,14 +38,15 @@ CASES = {
                                 ppo={"rollout_steps": 256, "minibatch_size": 64, "epochs": 3})),
 }
 
-# The four adversarial runs were last re-recorded when the PPO learning
-# rate default went from 1e-4 to 2e-4 (these configs pin minibatch_size
-# and epochs, not lr) and a run's lockstep envs from gcd(rollout_steps, 16)
-# to gcd(rollout_steps, 64): 64 envs here instead of 16, which draws other
-# start states and action noise. Every artifact moved but the point_reach
-# final_eval.json, which reads success 0.0 before and after. The bc run
-# and the expert datasets, which use neither, did not move; with the old
-# three values every case gives its previous hashes.
+# The two drail runs were last re-recorded when DRAIL's denoiser traded its
+# ten label input columns for a real and a fake output head: another
+# network, so other init values, predictions and updates. Every drail
+# artifact moved but the point_reach final_eval.json, which reads success
+# 0.0 before and after. The gail, diffail and bc runs and the expert
+# datasets, which have no condition label, did not move. Before that, the
+# four adversarial runs moved when the PPO learning rate default went from
+# 1e-4 to 2e-4 (these configs pin minibatch_size and epochs, not lr) and a
+# run's lockstep envs from gcd(rollout_steps, 16) to gcd(rollout_steps, 64).
 GOLDEN = {
     "bc-point_reach": {
         "metrics.csv": "9096cfd4aa728bb45e5d43d268156923b0e3165a529380484f7cde47b584d41e",
@@ -59,16 +60,16 @@ GOLDEN = {
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-point_reach": {
-        "metrics.csv": "174e72401d219b54a34f42d6b5a51c969481756f8c5e5659220ddcf77fcd377c",
-        "policy.drlp": "234b47ee909388daebaada8467efd1182df5fc465bfd727852b2b458ece62f55",
-        "discriminator.drlp": "cb187537c7dd77f41f8a4cd7c1538fecae84a9ae7f898d1da6c36c185daed425",
+        "metrics.csv": "ab842bbf53624b7062794d6d70dde2fcc247a7372b0d200570e2c0c3c9efbe8c",
+        "policy.drlp": "697e5df843fc46979d5ffadd5baa7a00d9615950e0aed513333f9f6de1161572",
+        "discriminator.drlp": "7b9361b0a60a327b3372c52c79373424bd172e6575ae49a90c07a71d9e806f57",
         "final_eval.json": "482df8cfa60aebe0d5debc8311d1f226ef8c1f3e364c4e6938a6e56264c12f68",
     },
     "drail-sine": {
-        "metrics.csv": "6bf3ee5c369a4ae699a7e9cb3788615115ce7fc25e0911c255634236fa20bc09",
-        "policy.drlp": "c86ef5746647cedc2f21a5e1a1ceb13c868e5232c68b8f36da36cfb31d095a6f",
-        "discriminator.drlp": "da8ea7055e357a4bddae4499e2786e90a26bd5432a2f6a2efc41b36128a0184f",
-        "final_eval.json": "aa1e7e37cc1c5f9258dfbf45301bb6e655f9d60b5179c51e8ba7406a45c0cac2",
+        "metrics.csv": "a15ee2eee2882c2108b7b8db031c5457bbd6d51120f7210775041d691fb0aa6e",
+        "policy.drlp": "94e992000cdc3beb4e72e119af18ad0b1407c87a9ae436faf85d2ad0ccc03da9",
+        "discriminator.drlp": "f7f597f37c572505d480068a50b8fe80584fa24517f99e00da544f8e360614eb",
+        "final_eval.json": "c8e8b9918ae39e3cf8baf0ef762b9b4aa35c027c9bab1824e6393753285195e4",
     },
     "gail-point_reach": {
         "metrics.csv": "4c18dc7793b704742bcba12d6b204eb98947957a099b44a083944baf95d30728",
