@@ -23,6 +23,10 @@ from .nn_core import LayerSpec, ParamStore
 # frequency span of the sinusoidal time features
 _MAX_FREQ = 1000.0
 
+# rows of folded time terms added to the first layer's pre-activation at
+# a time (128 KB of gathered terms at width 64)
+_TIME_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -227,21 +231,25 @@ def _time_terms(model: Denoiser, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return terms, lookup
 
 
-def _head_predictions(model: Denoiser, noised: np.ndarray, time_rows: np.ndarray, hs: list | None = None) -> np.ndarray:
+def _head_predictions(model: Denoiser, noised: np.ndarray, terms: np.ndarray, term_rows: np.ndarray,
+                      hs: list | None = None) -> np.ndarray:
     """The network's noise predictions for the noised data rows ``noised``
     under each of its heads; returns (heads, rows, data_dim), a view of the
     walk's (rows, heads * data_dim) output.
 
-    The first layer's pre-activation noised @ W_x.T + time_rows is computed
-    once per row (``time_rows`` holds each row's folded time and bias
-    terms, see _time_terms), and each row walks the layers above once;
-    given a list ``hs``, that walk's activations [h_1, ..., out] are
+    The first layer's pre-activation noised @ W_x.T + terms[term_rows] is
+    computed once per row (``terms`` holds the folded time and bias terms
+    of each distinct timestep, ``term_rows`` each row's index into it, see
+    _time_terms), the terms added _TIME_CHUNK rows at a time so that no
+    rows x width gather is made; each row walks the layers above once.
+    Given a list ``hs``, that walk's activations [h_1, ..., out] are
     collected there for _trunk_gradient."""
     layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
     weights, _, activation, _ = layers[0]
     d = model.data_dim
     z = noised @ weights[:, :d].T
-    z += time_rows
+    for lo in range(0, z.shape[0], _TIME_CHUNK):
+        z[lo : lo + _TIME_CHUNK] += terms[term_rows[lo : lo + _TIME_CHUNK]]
     out = nn_core._forward(layers[1:], nn_core._activate(z, activation), hs)
     return out.reshape(noised.shape[0], -1, d).transpose(1, 0, 2)
 
@@ -249,9 +257,11 @@ def _head_predictions(model: Denoiser, noised: np.ndarray, time_rows: np.ndarray
 def _trunk_gradient(model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Exact gradient, with respect to the flat parameters, of
     sum(upstream * outputs) over the (rows, heads * data_dim) outputs of
-    the _head_predictions walk whose activations are ``hs``.
+    the _head_predictions walk whose activations are ``hs``; the walk's
+    activations are consumed (see nn_core._backward).
 
-    Layers 1 and up go through nn_core._backward. The first layer's
+    Layers 1 and up go through nn_core._backward, which also carries the
+    gradient through the first layer's activation. The first layer's
     gradient comes from G, the gradient of its pre-activation: G.T @ noised
     for the data columns, G.T @ features(ts) for the time columns and
     colsum(G) for the bias."""
@@ -260,9 +270,7 @@ def _trunk_gradient(model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarra
     width, n_in = weights.shape
     d = model.data_dim
     grad = np.empty(len(model.params))
-    g = nn_core._backward(layers[1:], hs, upstream, grad, input_grad=True)
-    # a walk with no layers above hands back upstream itself
-    g = nn_core._activation_backward(g, hs[0], activation, owned=len(layers) > 1)
+    g = nn_core._backward(layers[1:], hs, upstream, grad, activation, consume=True)
     d_weights = grad[offset : offset + width * n_in].reshape(width, n_in)
     d_weights[:, :d] = g.T @ noised
     # ts passed the _time_terms check of the walk that collected hs
@@ -286,7 +294,7 @@ def _row_predictions(model: Denoiser, noised: np.ndarray, ts: np.ndarray, label_
     terms, lookup = _time_terms(model, ts)
     # a label-blind denoiser's one head serves both labels
     head = (fake & (model.label_dim > 0)).astype(np.intp)
-    return _head_predictions(model, noised, terms[lookup[ts]])[head, np.arange(n)]
+    return _head_predictions(model, noised, terms, lookup[ts])[head, np.arange(n)]
 
 
 def batched_inputs(

@@ -43,11 +43,18 @@ _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
 # schedule and its time-feature table grow with T, and the draws with the
-# cells x sample_count of a reward map. Scored a block of draws at a time
-# (at most 8192 walked rows), a 128-draw 101x121 map peaks near 110 MB
-# (1.62 GB when its rows, then one per draw and label, were built in one piece)
+# cells x sample_count of a reward map. Scored in blocks of at most
+# _SCORE_BLOCK draws, a 128-draw 101x121 map peaks near 101 MB resident,
+# most of it the draws and their losses
 MAX_SCHEDULE_STEPS = 100_000
 MAX_SAMPLE_COUNT = 128
+
+# the most draws a scoring block walks: 1 MB per activation at width 64,
+# so a block's working set stays in L2. Blocks are split evenly, so a call
+# of more than _SCORE_BLOCK draws walks at least _SCORE_BLOCK / 2 rows per
+# block: BLAS rounds a row alike in any call of about 1,000 rows or more,
+# but not in small calls (blocks of 512 rows or fewer change bytes).
+_SCORE_BLOCK = 2048
 
 
 def sigmoid(x):
@@ -126,8 +133,9 @@ class _DenoisingDiscriminator:
         The draws run over the pairs, then a pair's sample_count draws. A
         draw's noised row walks the network once and every head reads that
         walk (see diffusion._head_predictions). Without ``hs`` the draws
-        are scored nn_core._FORWARD_BLOCK at a time, so the rows of no more
-        than one block coexist. Given a list ``hs``, all draws are one
+        are scored in ceil(draws / _SCORE_BLOCK) blocks of near-equal size,
+        so the activations of no more than _SCORE_BLOCK rows coexist and no
+        block is a small remainder. Given a list ``hs``, all draws are one
         block whose activations are collected there.
 
         Returns (losses of shape (heads, n), (ts, eps), noised, preds):
@@ -140,14 +148,13 @@ class _DenoisingDiscriminator:
         ts = rng.integers(1, den.schedule.T + 1, size=n * m)
         eps = rng.standard_normal((n * m, den.data_dim))
         time_terms, lookup = diffusion._time_terms(den, ts)
-        block = n * m if hs is not None else nn_core._FORWARD_BLOCK
+        blocks = 1 if hs is not None else -(-n * m // _SCORE_BLOCK)
+        bounds = [n * m * b // blocks for b in range(blocks + 1)]
         losses = np.empty((diffusion._heads(den.label_dim), n * m))
-        for lo in range(0, n * m, block):
-            rows = slice(lo, lo + block)
-            pairs = np.arange(lo, min(lo + block, n * m)) // m
-            noised = diffusion._noised(den.schedule, x0[pairs], ts[rows], eps[rows])
-            preds = diffusion._head_predictions(den, noised, time_terms[lookup[ts[rows]]], hs)
-            losses[:, rows] = np.mean((preds - eps[rows]) ** 2, axis=2)
+        for lo, hi in zip(bounds, bounds[1:]):
+            noised = diffusion._noised(den.schedule, x0[np.arange(lo, hi) // m], ts[lo:hi], eps[lo:hi])
+            preds = diffusion._head_predictions(den, noised, time_terms, lookup[ts[lo:hi]], hs)
+            losses[:, lo:hi] = np.mean((preds - eps[lo:hi]) ** 2, axis=2)
         if not np.all(np.isfinite(losses)):
             raise ValueError("non-finite denoiser output")
         return losses.reshape(-1, n, m).mean(axis=2), (ts, eps), noised, preds
@@ -155,7 +162,7 @@ class _DenoisingDiscriminator:
     def _gradient(self, hs: list, draw: tuple, noised: np.ndarray, preds: np.ndarray, coeffs: np.ndarray):
         """Parameter gradient of sum over h, i of coeffs[h, i] times the
         loss of draw i under head h, for a one-block _losses call that
-        collected ``hs``."""
+        collected ``hs``; the activations in ``hs`` are consumed."""
         ts, eps = draw
         upstream = diffusion.loss_grad_upstream(preds, eps, coeffs)
         return diffusion._trunk_gradient(self.denoiser, hs, noised, ts,
@@ -500,8 +507,10 @@ def diffail_disc_loss(
     loss = float(np.mean(L[:n_e]) - np.mean(np.log(-np.expm1(-La))))
     dL = np.empty(n_e + n_a)
     dL[:n_e] = 1.0 / n_e
-    # d/dL of -log(1 - exp(-L)) is -1/(exp(L) - 1)
-    dL[n_e:] = -1.0 / np.expm1(La) / n_a
+    # d/dL of -log(1 - exp(-L)) is -1/(exp(L) - 1), -0.0 once exp(L)
+    # overflows (L above about 709.8)
+    with np.errstate(over="ignore"):
+        dL[n_e:] = -1.0 / np.expm1(La) / n_a
     coeffs = np.repeat(dL / disc.sample_count, disc.sample_count)
     return loss, disc._gradient(hs, draw, noised, preds, coeffs[None, :])
 

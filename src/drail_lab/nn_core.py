@@ -177,17 +177,34 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _activation_backward(g: np.ndarray, h: np.ndarray, activation: str, owned: bool) -> np.ndarray:
+def _activation_backward(g: np.ndarray, h: np.ndarray, activation: str) -> np.ndarray:
     """``g`` times the activation's derivative, taken from its output ``h``
-    (identity's is 1). relu's mask is written in place when ``owned``, that
-    is when ``g`` is an array the caller made, never a caller's input."""
+    (identity's is 1). Neither ``g`` nor ``h`` is written."""
     if activation == "tanh":
         d = h * h
         np.subtract(1.0, d, out=d)
         return np.multiply(g, d, out=d)
     if activation == "relu":
-        return np.multiply(g, h > 0.0, out=g if owned else None)
+        return g * (h > 0.0)
     return g
+
+
+def _input_gradient(g: np.ndarray, weights: np.ndarray, h: np.ndarray, activation: str, consume: bool) -> np.ndarray:
+    """_activation_backward(g @ weights, h, activation): the gradient of a
+    layer's output ``g`` carried back through its weights to its input
+    ``h`` and through the activation whose output ``h`` is. Given
+    ``consume``, the result is written into the buffer of ``h`` once its
+    derivative terms are taken; otherwise ``h`` is not written."""
+    out = h if consume else None
+    if activation == "tanh":
+        d = np.multiply(h, h, out=out)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g @ weights, d, out=d)
+    if activation == "relu":
+        mask = h > 0.0
+        x = np.matmul(g, weights, out=out)
+        return np.multiply(x, mask, out=x)
+    return np.matmul(g, weights, out=out)
 
 
 def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray:
@@ -207,24 +224,40 @@ def _forward(layers: tuple, x: np.ndarray, hs: list | None = None) -> np.ndarray
 
 
 def _backward(
-    layers: tuple, hs: list[np.ndarray], g: np.ndarray, grad: np.ndarray, input_grad: bool = False
+    layers: tuple,
+    hs: list[np.ndarray],
+    g: np.ndarray,
+    grad: np.ndarray,
+    input_activation: str | None = None,
+    consume: bool = False,
 ) -> np.ndarray | None:
     """Reverse pass over the activations ``hs`` of a forward walk; ``g`` is
-    the (n, out_dim) upstream gradient. Writes every entry of ``grad``, the
-    flat gradient (or a slice of a longer buffer), at the layers' offsets.
-    Given ``input_grad``, returns the gradient with respect to the walk's
-    input rows (``g`` itself when there are no layers); otherwise None.
-    Neither ``g`` nor ``hs`` is written."""
-    for k in range(len(layers) - 1, -1, -1):
-        weights, _, activation, offset = layers[k]
-        g = _activation_backward(g, hs[k + 1], activation, owned=k < len(layers) - 1)
+    the (n, out_dim) upstream gradient and is not written. Writes every
+    entry of ``grad``, the flat gradient (or a slice of a longer buffer),
+    at the layers' offsets.
+
+    Given ``input_activation``, the activation whose output the walk's
+    input hs[0] is, returns the gradient with respect to that
+    activation's input; otherwise None. Given ``consume``, each layer's
+    input gradient is written into the buffer of that layer's input once
+    its weight gradient and its derivative terms are taken, so the pass
+    keeps no activation-sized array of its own beside ``hs``, and hs[1:-1]
+    (and hs[0], given ``input_activation`` and a layer) end holding
+    gradients; otherwise ``hs`` is not written."""
+    top = len(layers) - 1
+    if top < 0:
+        return None if input_activation is None else _activation_backward(g, hs[0], input_activation)
+    g = _activation_backward(g, hs[-1], layers[top][2])
+    for k in range(top, -1, -1):
+        weights, _, _, offset = layers[k]
         n_out, n_in = weights.shape
         n_w = n_out * n_in
         np.matmul(g.T, hs[k], out=grad[offset : offset + n_w].reshape(n_out, n_in))
         np.sum(g, axis=0, out=grad[offset + n_w : offset + n_w + n_out])
-        if k > 0 or input_grad:
-            g = g @ weights
-    return g if input_grad else None
+        below = layers[k - 1][2] if k > 0 else input_activation
+        if below is not None:
+            g = _input_gradient(g, weights, hs[k], below, consume)
+    return None if input_activation is None else g
 
 
 def forward_batch(

@@ -230,13 +230,17 @@ def compute_gae(
         raise ValueError(f"values must have length {n + 1} (bootstrap included), got {values.shape}")
     if dones.shape != (n,):
         raise ValueError("dones must align with rewards")
-    adv = np.empty(n)
+    # the recursion runs on Python floats, whose arithmetic is float64's,
+    # without a numpy scalar per operation
+    r, v, done = rewards.tolist(), values.tolist(), dones.tolist()
+    out = [0.0] * n
     carry = 0.0
     for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + gamma * nonterminal * values[t + 1] - values[t]
+        nonterminal = 0.0 if done[t] else 1.0
+        delta = r[t] + gamma * nonterminal * v[t + 1] - v[t]
         carry = delta + gamma * lam * nonterminal * carry
-        adv[t] = carry
+        out[t] = carry
+    adv = np.array(out, dtype=np.float64)
     return adv, adv + values[:n]
 
 

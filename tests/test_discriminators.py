@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +341,25 @@ def test_diffail_loss_gradient_matches_fd():
     assert rel_err(grad, fd_grad(scalar, disc.denoiser.params.values)) < 1e-5
 
 
+def test_diffail_gradient_of_an_overflowing_agent_loss_is_silent():
+    # an agent loss above about 709.8 overflows exp(L) - 1 in the agent
+    # term's derivative -1/(exp(L) - 1): the coefficient is -0.0, and no
+    # warning escapes even when warnings are errors
+    disc = build_diffail(1, 1, hidden=(8,), T=20, seed=3)
+    values = disc.denoiser.params.values.copy()
+    last = disc.denoiser.params.layout[-1]
+    values[last.offset + last.out_dim * last.in_dim :] = 100.0
+    disc = replace(disc, denoiser=disc.denoiser.with_params(disc.denoiser.params.with_values(values)))
+    rng = np.random.default_rng(4)
+    expert = (rng.uniform(-1, 1, (5, 1)), rng.uniform(-1, 1, (5, 1)))
+    agent = (rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (6, 1)))
+    assert diffail_loss_batch(disc, *agent, np.random.default_rng(5)).min() > 710.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = diffail_disc_loss(disc, expert, agent, np.random.default_rng(6))
+    assert math.isfinite(loss) and np.all(np.isfinite(grad))
+
+
 def test_diffail_update_descends():
     rng = np.random.default_rng(6)
     expert = (rng.uniform(-1, 1, (16, 1)), np.full((16, 1), 0.6))
@@ -468,9 +490,11 @@ def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
     walked = getattr(nn_core, spied)
 
     def spy(*args, **kwargs):
-        out = walked(*args, **kwargs)
+        # the denoiser's backward consumes its activations: copy them first
         hs, upstream = args[2:4] if kind == "gail" else args[1:3]
-        calls.append((hs[0].copy(), np.array(upstream, copy=True), out))
+        inputs, upstream = hs[0].copy(), np.array(upstream, copy=True)
+        out = walked(*args, **kwargs)
+        calls.append((inputs, upstream, out))
         return out
 
     monkeypatch.setattr(nn_core, spied, spy)
@@ -516,13 +540,14 @@ def test_conditioned_drail_walks_each_draw_row_once(monkeypatch):
     assert walked == [7 * 3, 7 * 3]
 
 
-# denoiser rows per call: one pair, exactly one block, and 3.5 blocks. A
-# block holds nn_core._FORWARD_BLOCK draws, each walked once for every
-# head; the one-piece reference walks all rows in one call. BLAS
-# rounds a row alike in any call of a few thousand rows, but not in small
-# calls: on the sine maps' 1-D state and action, scoring in blocks of 512
-# rows instead of 8192 changes bytes.
-@pytest.mark.parametrize("rows", [1, nn_core._FORWARD_BLOCK, 7 * nn_core._FORWARD_BLOCK // 2])
+# denoiser rows per call: one pair, a reach map's 2,100 rows (two blocks of
+# 1,050), 8192 and 28672 rows (4 and 14 whole blocks) and a 101x121 map
+# call of 4 draws (24 blocks of 2,036-2,037). A block holds at most
+# discriminators._SCORE_BLOCK draws, each walked once for every head; the
+# one-piece reference walks all rows in one call. BLAS rounds a row alike
+# in any call of about 1,000 rows or more, but not in small calls: on the
+# sine maps' 1-D state and action, blocks of 512 rows change bytes.
+@pytest.mark.parametrize("rows", [1, 2100, nn_core._FORWARD_BLOCK, 7 * nn_core._FORWARD_BLOCK // 2, 101 * 121 * 4])
 @pytest.mark.parametrize("sample_count", [1, 4])
 @pytest.mark.parametrize("kind", ["drail", "drail_unlabeled", "diffail"])
 def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows):
@@ -543,6 +568,47 @@ def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows)
     assert got.tobytes() == (want[-1] - want[0]).tobytes()
     if kind == "drail_unlabeled":
         assert np.all(got == 0.0)
+
+
+def _traced_peak_mb(call) -> float:
+    """The most memory ``call`` holds at once beyond what it starts with, in
+    MB as tracemalloc counts it (numpy reports its buffers to it)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# an update holds its forward activations and nothing of their size more:
+# the backward writes each input gradient into the activation it no longer
+# needs, and the time terms are added a chunk at a time. At the bench's
+# sine fit shape (512 + 512 pairs, 4 draws, 64-64) that is about 5.5 MB.
+@pytest.mark.parametrize("kind", ["drail", "diffail"])
+def test_fit_update_peak_memory_is_bounded(kind):
+    build = build_drail if kind == "drail" else build_diffail
+    disc = build(1, 1, hidden=(64, 64), T=1000, sample_count=4, seed=1)
+    rng = np.random.default_rng(0)
+    expert = (rng.uniform(0, 1, (512, 1)), rng.uniform(-1.5, 1.5, (512, 1)))
+    agent = (rng.uniform(0, 1, (512, 1)), rng.uniform(-1.5, 1.5, (512, 1)))
+    disc.update(expert, agent, np.random.default_rng(1))  # builds the time-feature table
+    assert _traced_peak_mb(lambda: disc.update(expert, agent, np.random.default_rng(1))) < 6.5
+
+
+def test_labeling_call_peak_memory_is_bounded():
+    # a reach rollout's 2,048 pairs x 4 draws are scored in 4 blocks of
+    # 2,048 rows, about 4.1 MB
+    clf = build_drail(6, 2, hidden=(64, 64), sample_count=4, seed=1)
+    rng = np.random.default_rng(0)
+    states, actions = rng.normal(size=(2048, 6)), rng.normal(size=(2048, 2))
+    clf.raw_rewards(states, actions, np.random.default_rng(2))
+    assert _traced_peak_mb(lambda: clf.raw_rewards(states, actions, np.random.default_rng(2))) < 5.0
 
 
 # the fold against the explicit rows [noised | time features] through the

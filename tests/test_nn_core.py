@@ -277,6 +277,26 @@ def test_backward_activations_checks_upstream():
         nn_core.backward_activations(params, specs, hs, np.full((5, 2), np.nan))
 
 
+@pytest.mark.parametrize("hidden_act", ["tanh", "relu", "identity"])
+def test_consuming_backward_matches_the_one_that_keeps_activations_bitwise(hidden_act):
+    # writing each input gradient into the buffer of the activation it
+    # replaces changes no float operation: the parameter gradient and the
+    # gradient through the input's relu keep every bit
+    specs = (LayerSpec(3, 8, hidden_act), LayerSpec(8, 8, hidden_act), LayerSpec(8, 2, "identity"))
+    params = init_params(specs, seed=6)
+    layers = nn_core._layers(params.values, params.layout, specs)
+    rng = np.random.default_rng(2)
+    x, upstream = np.maximum(rng.normal(size=(17, 3)), 0.0), rng.normal(size=(17, 2))
+    results = []
+    for consume in (False, True):
+        hs = []
+        nn_core._forward(layers, x.copy(), hs)
+        grad = np.empty(len(params))
+        through_input = nn_core._backward(layers, hs, upstream, grad, "relu", consume)
+        results.append((grad.tobytes(), through_input.tobytes()))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("out_act", ["tanh", "relu", "identity"])
 def test_walks_leave_inputs_upstream_and_activations_unchanged(out_act):
     # the walks compute in place on their own arrays only; the caller's

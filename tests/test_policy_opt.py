@@ -175,6 +175,30 @@ def test_gae_brute_force_property(n, seed, gamma, lam):
     assert np.allclose(rets, adv + values[:n], atol=1e-12)
 
 
+def test_gae_rounds_as_the_float64_scalar_recursion_bitwise():
+    # every product and sum of the recursion in its written order, on numpy
+    # float64 scalars: the golden runs' advantages hang on this association.
+    # 64 lockstep columns of 32 steps, with dones mid-column and on the last
+    # step of some columns
+    rng = np.random.default_rng(12)
+    rewards, values = rng.normal(size=(64, 32)), rng.normal(size=(64, 33))
+    dones = rng.random((64, 32)) < 0.1
+    dones[::3, -1] = True
+    assert dones[:, 1:-1].any() and dones[:, -1].any() and not dones[:, -1].all()
+    gamma, lam = 0.99, 0.95
+    for r, v, d in zip(rewards, values, dones):
+        want = np.empty(32)
+        carry = np.float64(0.0)
+        for t in range(31, -1, -1):
+            nonterminal = np.float64(0.0 if d[t] else 1.0)
+            delta = r[t] + gamma * nonterminal * v[t + 1] - v[t]
+            carry = delta + gamma * lam * nonterminal * carry
+            want[t] = carry
+        adv, rets = compute_gae(r, v, d, gamma, lam)
+        assert adv.tobytes() == want.tobytes()
+        assert rets.tobytes() == (want + v[:32]).tobytes()
+
+
 def test_gae_length_mismatch():
     with pytest.raises(ValueError, match="bootstrap"):
         compute_gae(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool), 0.99, 0.95)
