@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn_core
-from .nn_core import LayerSpec, ParamStore
+from .nn_core import ParamStore
 
 # frequency span of the sinusoidal time features
 _MAX_FREQ = 1000.0
@@ -144,7 +144,6 @@ class Denoiser:
     data_dim wide; with label_dim 0, one head."""
 
     params: ParamStore
-    specs: tuple[LayerSpec, ...]
     state_dim: int
     action_dim: int
     label_dim: int
@@ -162,6 +161,8 @@ class Denoiser:
             raise ValueError(f"denoiser input width {self.specs[0].in_dim} != {want_in}")
         if self.specs[-1].out_dim != _heads(self.label_dim) * self.data_dim:
             raise ValueError("denoiser output width must be one state_dim + action_dim head per label")
+
+    specs = property(lambda self: self.params.specs)
 
     @property
     def data_dim(self) -> int:
@@ -192,7 +193,6 @@ def build_denoiser(
     specs = nn_core.mlp_specs((d + time_embed_dim, *hidden, _heads(label_dim) * d), "relu")
     return Denoiser(
         params=nn_core.init_params(specs, seed),
-        specs=specs,
         state_dim=state_dim,
         action_dim=action_dim,
         label_dim=label_dim,
@@ -244,7 +244,7 @@ def _head_predictions(model: Denoiser, noised: np.ndarray, terms: np.ndarray, te
     rows x width gather is made; each row walks the layers above once.
     Given a list ``hs``, that walk's activations [h_1, ..., out] are
     collected there for _trunk_gradient."""
-    layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
+    layers = nn_core._layers(model.params.values, model.specs)
     weights, _, activation, _ = layers[0]
     d = model.data_dim
     z = noised @ weights[:, :d].T
@@ -265,7 +265,7 @@ def _trunk_gradient(model: Denoiser, hs: list, noised: np.ndarray, ts: np.ndarra
     gradient comes from G, the gradient of its pre-activation: G.T @ noised
     for the data columns, G.T @ features(ts) for the time columns and
     colsum(G) for the bias."""
-    layers = nn_core._layers(model.params.values, model.params.layout, model.specs)
+    layers = nn_core._layers(model.params.values, model.specs)
     weights, _, activation, offset = layers[0]
     width, n_in = weights.shape
     d = model.data_dim

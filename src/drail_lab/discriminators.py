@@ -43,18 +43,11 @@ _GAIL_META = struct.Struct("<IId")
 _DIFFUSION_META = struct.Struct("<IIIIBIdId")
 # the largest schedule length and draw count a checkpoint may declare: the
 # schedule and its time-feature table grow with T, and the draws with the
-# cells x sample_count of a reward map. Scored in blocks of at most
-# _SCORE_BLOCK draws, a 128-draw 101x121 map peaks near 101 MB resident,
-# most of it the draws and their losses
+# cells x sample_count of a reward map. Scored in nn_core._blocks of about
+# nn_core._FORWARD_BLOCK draws, a 128-draw 101x121 map peaks near 101 MB
+# resident, most of it the draws and their losses
 MAX_SCHEDULE_STEPS = 100_000
 MAX_SAMPLE_COUNT = 128
-
-# the most draws a scoring block walks: 1 MB per activation at width 64,
-# so a block's working set stays in L2. Blocks are split evenly, so a call
-# of more than _SCORE_BLOCK draws walks at least _SCORE_BLOCK / 2 rows per
-# block: BLAS rounds a row alike in any call of about 1,000 rows or more,
-# but not in small calls (blocks of 512 rows or fewer change bytes).
-_SCORE_BLOCK = 2048
 
 
 def sigmoid(x):
@@ -133,10 +126,10 @@ class _DenoisingDiscriminator:
         The draws run over the pairs, then a pair's sample_count draws. A
         draw's noised row walks the network once and every head reads that
         walk (see diffusion._head_predictions). Without ``hs`` the draws
-        are scored in ceil(draws / _SCORE_BLOCK) blocks of near-equal size,
-        so the activations of no more than _SCORE_BLOCK rows coexist and no
-        block is a small remainder. Given a list ``hs``, all draws are one
-        block whose activations are collected there.
+        are scored in the blocks of nn_core._blocks, so the activations of
+        no more than about nn_core._FORWARD_BLOCK rows coexist and each row
+        is rounded as in one walk of all draws. Given a list ``hs``, all draws
+        are one block whose activations are collected there.
 
         Returns (losses of shape (heads, n), (ts, eps), noised, preds):
         the draw, then the noised rows and the (heads, rows, data_dim)
@@ -148,10 +141,8 @@ class _DenoisingDiscriminator:
         ts = rng.integers(1, den.schedule.T + 1, size=n * m)
         eps = rng.standard_normal((n * m, den.data_dim))
         time_terms, lookup = diffusion._time_terms(den, ts)
-        blocks = 1 if hs is not None else -(-n * m // _SCORE_BLOCK)
-        bounds = [n * m * b // blocks for b in range(blocks + 1)]
         losses = np.empty((diffusion._heads(den.label_dim), n * m))
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in [(0, n * m)] if hs is not None else nn_core._blocks(n * m):
             noised = diffusion._noised(den.schedule, x0[np.arange(lo, hi) // m], ts[lo:hi], eps[lo:hi])
             preds = diffusion._head_predictions(den, noised, time_terms, lookup[ts[lo:hi]], hs)
             losses[:, lo:hi] = np.mean((preds - eps[lo:hi]) ** 2, axis=2)
@@ -193,7 +184,7 @@ class _DenoisingDiscriminator:
         )
 
     @classmethod
-    def from_checkpoint(cls, params: ParamStore, specs: tuple[LayerSpec, ...], meta: bytes):
+    def from_checkpoint(cls, params: ParamStore, meta: bytes):
         if len(meta) != _DIFFUSION_META.size:
             raise ValueError(f"corrupt {cls.kind} checkpoint trailer")
         s_dim, a_dim, label_dim, te_dim, tm, T, s_offset, m, lr = _DIFFUSION_META.unpack(meta)
@@ -204,7 +195,6 @@ class _DenoisingDiscriminator:
                 raise ValueError(f"corrupt {cls.kind} checkpoint trailer: {name}={value} exceeds {limit}")
         den = Denoiser(
             params=params,
-            specs=specs,
             state_dim=s_dim,
             action_dim=a_dim,
             label_dim=label_dim,
@@ -327,7 +317,6 @@ class GailDiscriminator:
     """Sigmoid MLP over [state | action]; single real output."""
 
     params: ParamStore
-    specs: tuple[LayerSpec, ...]
     optimizer: AdamState
     state_dim: int
     action_dim: int
@@ -336,6 +325,8 @@ class GailDiscriminator:
     code = 0
     # a deterministic logit: one probability per point, whatever the draws
     stochastic = False
+
+    specs = property(lambda self: self.params.specs)
 
     def __post_init__(self) -> None:
         if self.specs[-1].out_dim != 1:
@@ -364,11 +355,11 @@ class GailDiscriminator:
         return self.params, self.specs, trailer
 
     @classmethod
-    def from_checkpoint(cls, params: ParamStore, specs: tuple[LayerSpec, ...], meta: bytes):
+    def from_checkpoint(cls, params: ParamStore, meta: bytes):
         if len(meta) != _GAIL_META.size:
             raise ValueError("corrupt gail checkpoint trailer")
         state_dim, action_dim, lr = _GAIL_META.unpack(meta)
-        return cls(params, specs, AdamState.fresh(len(params), lr), state_dim, action_dim)
+        return cls(params, AdamState.fresh(len(params), lr), state_dim, action_dim)
 
 
 def build_gail(
@@ -380,7 +371,7 @@ def build_gail(
 ) -> GailDiscriminator:
     specs = nn_core.mlp_specs((state_dim + action_dim, *hidden, 1), "tanh")
     params = nn_core.init_params(specs, seed)
-    return GailDiscriminator(params, specs, AdamState.fresh(len(params), lr), state_dim, action_dim)
+    return GailDiscriminator(params, AdamState.fresh(len(params), lr), state_dim, action_dim)
 
 
 def gail_logit_batch(disc: GailDiscriminator, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -554,10 +545,10 @@ _BY_CODE = {cls.code: cls for cls in (GailDiscriminator, DiffailDiscriminator, D
 
 
 def load_discriminator(path: str):
-    params, specs, trailer = nn_core.load_params(path)
+    params, _, trailer = nn_core.load_params(path)
     if not trailer:
         raise ValueError("not a discriminator checkpoint: missing kind tag")
     cls = _BY_CODE.get(trailer[0])
     if cls is None:
         raise ValueError(f"unknown discriminator kind {trailer[0]}")
-    return cls.from_checkpoint(params, specs, trailer[1:])
+    return cls.from_checkpoint(params, trailer[1:])

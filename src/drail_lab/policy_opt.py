@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn_core
 from .errors import NumericalAbort
-from .nn_core import AdamState, LayerSpec, ParamStore
+from .nn_core import AdamState, ParamStore
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -30,7 +30,6 @@ class GaussianPolicy:
     """Mean network plus a per-dimension log-std vector."""
 
     mean_params: ParamStore
-    specs: tuple[LayerSpec, ...]
     log_std: np.ndarray
 
     def __post_init__(self) -> None:
@@ -43,6 +42,8 @@ class GaussianPolicy:
         object.__setattr__(self, "log_std", ls)
         if ls.shape != (self.action_dim,):
             raise ValueError("log_std length must equal action_dim")
+
+    specs = property(lambda self: self.mean_params.specs)
 
     @property
     def state_dim(self) -> int:
@@ -61,7 +62,7 @@ def build_policy(
     init_log_std: float = 0.0,
 ) -> GaussianPolicy:
     specs = nn_core.mlp_specs((state_dim, *hidden, action_dim), "tanh")
-    return GaussianPolicy(nn_core.init_params(specs, seed), specs, np.full(action_dim, init_log_std))
+    return GaussianPolicy(nn_core.init_params(specs, seed), np.full(action_dim, init_log_std))
 
 
 def policy_mean_batch(policy: GaussianPolicy, states: np.ndarray) -> np.ndarray:
@@ -92,7 +93,7 @@ def _draw_rows(layers: tuple, std: np.ndarray, x: np.ndarray, rng) -> tuple[np.n
 
 def policy_sample(policy: GaussianPolicy, s: np.ndarray, rng) -> tuple[np.ndarray, float]:
     """Draw one action and its exact log-density."""
-    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    layers = nn_core._layers(policy.mean_params.values, policy.specs)
     x = nn_core._as_batch(np.asarray(s)[None, :], policy.state_dim, "input")
     means, actions = _draw_rows(layers, np.exp(policy.log_std), x, rng)
     return actions[0], float(_logp_rows(means, actions, np.exp(-2.0 * policy.log_std), np.sum(policy.log_std))[0])
@@ -146,7 +147,7 @@ def logp_grad(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> np.ndarra
     diff = np.asarray(a, dtype=np.float64) - nn_core.forward_batch(policy.mean_params, policy.specs, s, hs)
     inv_var = np.exp(-2.0 * policy.log_std)
     grad = np.empty(len(policy.mean_params) + policy.action_dim)
-    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    layers = nn_core._layers(policy.mean_params.values, policy.specs)
     _logp_grad_rows(layers, hs, np.ones(1), diff * inv_var, diff**2 * inv_var, grad)
     return grad
 
@@ -157,12 +158,12 @@ def logp_grad(policy: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class ValueFn:
     params: ParamStore
-    specs: tuple[LayerSpec, ...]
+    specs = property(lambda self: self.params.specs)
 
 
 def build_value_fn(state_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0) -> ValueFn:
     specs = nn_core.mlp_specs((state_dim, *hidden, 1), "tanh")
-    return ValueFn(nn_core.init_params(specs, seed), specs)
+    return ValueFn(nn_core.init_params(specs, seed))
 
 
 def value_batch(vf: ValueFn, states: np.ndarray) -> np.ndarray:
@@ -348,8 +349,8 @@ def ppo_update(
         raise ValueError(f"optimizer length {opt.m.size} != policy and critic length {params.size}")
     m, v, step = opt.m.copy(), opt.v.copy(), opt.step
     log_std = params[n_mean:n_pol]
-    p_layers = nn_core._layers(params, policy.mean_params.layout, policy.specs)
-    v_layers = nn_core._layers(params[n_pol:], vf.params.layout, vf.specs)
+    p_layers = nn_core._layers(params, policy.specs)
+    v_layers = nn_core._layers(params[n_pol:], vf.specs)
     grad = np.empty_like(params)
     g_ls, g_policy, g_value = grad[n_mean:n_pol], grad[:n_pol], grad[n_pol:]
 
@@ -437,4 +438,4 @@ def load_policy(path: str) -> GaussianPolicy:
             f"policy checkpoint trailer must hold {action_dim} log-std values, got {len(trailer)} bytes"
         )
     log_std = np.frombuffer(trailer, dtype="<f8").astype(np.float64)
-    return GaussianPolicy(params, specs, log_std)
+    return GaussianPolicy(params, log_std)

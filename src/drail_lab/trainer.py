@@ -209,7 +209,7 @@ def policy_actor(policy: GaussianPolicy, stochastic: bool = False, rng=None):
     if stochastic and rng is None:
         raise ValueError("stochastic actor needs an rng")
     # policy_mean_batch and policy_sample, with the layer views built once
-    layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    layers = nn_core._layers(policy.mean_params.values, policy.specs)
     std = np.exp(policy.log_std)
 
     def act(obs):
@@ -292,8 +292,8 @@ def collect_rollout(env, policy: GaussianPolicy, vf: ValueFn, n_steps: int, rng)
     for what, in_dim in (("value", vf.specs[0].in_dim), ("policy", policy.state_dim)):
         if in_dim != width:
             raise ValueError(f"{what} input width {in_dim} != env state_dim {width}")
-    v_layers = nn_core._layers(vf.params.values, vf.params.layout, vf.specs)
-    p_layers = nn_core._layers(policy.mean_params.values, policy.mean_params.layout, policy.specs)
+    v_layers = nn_core._layers(vf.params.values, vf.specs)
+    p_layers = nn_core._layers(policy.mean_params.values, policy.specs)
     std = np.exp(policy.log_std)
     inv_var = np.exp(-2.0 * policy.log_std)
     log_std_sum = np.sum(policy.log_std)

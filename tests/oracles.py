@@ -249,5 +249,5 @@ def denoiser_losses_one_piece(disc, states: np.ndarray, actions: np.ndarray, rng
     distinct, inverse = np.unique(ts, return_inverse=True)
     terms = den.time_features(distinct) @ weights[:, d:].T + bias
     h = np.maximum(noised @ weights[:, :d].T + terms[inverse], 0.0)
-    out = nn_core._forward(nn_core._layers(den.params.values, den.params.layout, den.specs)[1:], h)
+    out = nn_core._forward(nn_core._layers(den.params.values, den.specs)[1:], h)
     return head_losses(out, eps).reshape(-1, n, m).mean(axis=2)

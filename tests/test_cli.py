@@ -217,8 +217,7 @@ def test_train_bad_expert_exits_2_without_a_run_directory(tmp_path, sine_dataset
 def _overflowing_policy():
     """A 1->4->1 policy whose every mean-net value is 1e308: its means overflow."""
     policy = build_policy(1, 1, (4,), seed=0)
-    return GaussianPolicy(policy.mean_params.with_values(np.full(len(policy.mean_params), 1e308)), policy.specs,
-                          policy.log_std)
+    return GaussianPolicy(policy.mean_params.with_values(np.full(len(policy.mean_params), 1e308)), policy.log_std)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -607,6 +606,13 @@ def _unknown_activation(tmp_path):
     return _set_bytes(data, 16 + name_len + 8, bytes([9]))
 
 
+def _not_utf8_layer_name(data: bytearray) -> bytes:
+    # the first layer's name (u32 length, then its bytes) follows magic,
+    # version and layer count; 0xff opens no UTF-8 sequence
+    name_len = int.from_bytes(data[12:16], "little")
+    return _set_bytes(data, 16, b"\xff" * name_len)
+
+
 def _unknown_kind(tmp_path):
     path = tmp_path / "g.drlp"
     save_discriminator(str(path), _small_discriminators()["gail"])
@@ -628,6 +634,7 @@ CORRUPT_FILES = {
     "drlp-version": (lambda p: _set_bytes(_policy_bytes(p), 4, (7).to_bytes(4, "little")),
                      "unsupported checkpoint version 7"),
     "drlp-activation": (_unknown_activation, "unknown activation code 9"),
+    "drlp-layer-name": (lambda p: _not_utf8_layer_name(_policy_bytes(p)), "can't decode byte 0xff"),
     "discriminator-kind": (_unknown_kind, "unknown discriminator kind 9"),
     "drld-short-header": (lambda p: bytes(_dataset_bytes(p)[:10]), "truncated dataset header"),
     "drld-empty-dims": (lambda p: _set_bytes(_dataset_bytes(p), 8, (0).to_bytes(4, "little")),
@@ -645,6 +652,21 @@ def test_inspect_corrupt_file_exits_2_naming_the_fault(tmp_path, capsys, case):
     assert run_cli("inspect", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and fault in err, err
+
+
+@pytest.mark.parametrize("command", ["eval", "reward-map"])
+def test_checkpoint_with_a_layer_name_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    if command == "eval":
+        data, args = _policy_bytes(tmp_path), ["--env", "sine", "--episodes", "1"]
+    else:
+        path = tmp_path / "d.drlp"
+        save_discriminator(str(path), _small_discriminators()["drail"])
+        data, args = bytearray(path.read_bytes()), ["--resolution", "3x3", "-o", str(tmp_path / "g.csv")]
+    bad = tmp_path / "bad.drlp"
+    bad.write_bytes(_not_utf8_layer_name(data))
+    assert run_cli(command, str(bad), *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "can't decode byte 0xff" in err, err
 
 
 def test_inspect_unknown_format(tmp_path, capsys):

@@ -223,9 +223,7 @@ def test_loss_one_for_unit_offset():
     model = build_denoiser(1, 1, 2, hidden=(4,))
     values = np.zeros(len(model.params))
     # zero weights, output bias 1: prediction is (1, 1) for any input
-    view = model.params.layout[-1]
-    n_w = view.out_dim * view.in_dim
-    values[view.offset + n_w : view.offset + view.size] = 1.0
+    values[-model.specs[-1].out_dim :] = 1.0
     model = model.with_params(model.params.with_values(values))
     loss = diffusion_loss_single(model, np.array([0.3]), np.array([0.7]), real_label(2), 5, np.zeros(2))
     assert loss == pytest.approx(1.0, abs=1e-15)

@@ -49,10 +49,9 @@ def _identity_denoiser(values, alpha_bar=(1.0, 1e-30)):
     """One identity layer from [x_t | time(2)] to a real and a fake head,
     two outputs each, hand-set weights."""
     specs = (LayerSpec(2 + 2, 4, "identity"),)
-    params = ParamStore(np.asarray(values, dtype=np.float64), nn_core.layout_for(specs))
+    params = ParamStore(np.asarray(values, dtype=np.float64), specs)
     return Denoiser(
         params=params,
-        specs=specs,
         state_dim=1,
         action_dim=1,
         label_dim=1,
@@ -240,7 +239,7 @@ def test_drail_trains_to_separate_1d_batch():
 
 def _zeroed(disc):
     return GailDiscriminator(
-        disc.params.with_values(np.zeros(len(disc.params))), disc.specs, disc.optimizer, disc.state_dim, disc.action_dim
+        disc.params.with_values(np.zeros(len(disc.params))), disc.optimizer, disc.state_dim, disc.action_dim
     )
 
 
@@ -264,7 +263,7 @@ def test_gail_loss_gradient_matches_fd():
     loss, grad = gail_disc_loss(disc, expert, agent)
 
     def scalar(theta):
-        trial = GailDiscriminator(disc.params.with_values(theta), disc.specs, disc.optimizer, 2, 1)
+        trial = GailDiscriminator(disc.params.with_values(theta), disc.optimizer, 2, 1)
         return gail_disc_loss(trial, expert, agent)[0]
 
     assert rel_err(grad, fd_grad(scalar, disc.params.values)) < 1e-5
@@ -347,8 +346,7 @@ def test_diffail_gradient_of_an_overflowing_agent_loss_is_silent():
     # warning escapes even when warnings are errors
     disc = build_diffail(1, 1, hidden=(8,), T=20, seed=3)
     values = disc.denoiser.params.values.copy()
-    last = disc.denoiser.params.layout[-1]
-    values[last.offset + last.out_dim * last.in_dim :] = 100.0
+    values[-disc.denoiser.specs[-1].out_dim :] = 100.0
     disc = replace(disc, denoiser=disc.denoiser.with_params(disc.denoiser.params.with_values(values)))
     rng = np.random.default_rng(4)
     expert = (rng.uniform(-1, 1, (5, 1)), rng.uniform(-1, 1, (5, 1)))
@@ -512,8 +510,8 @@ def test_disc_loss_gradient_is_backward_batch_bitwise(kind, monkeypatch):
     _, grad = loss_fn(disc, expert, agent, np.random.default_rng(5))
     [(h1, upstream, _)] = calls
     den = disc.denoiser
-    first = den.params.layout[0].size
-    above = ParamStore(den.params.values[first:], nn_core.layout_for(den.specs[1:]))
+    first = den.specs[0].size
+    above = ParamStore(den.params.values[first:], den.specs[1:])
     assert grad[first:].tobytes() == nn_core.backward_batch(above, den.specs[1:], h1, upstream).tobytes()
     states, actions = np.concatenate([expert[0], agent[0]]), np.concatenate([expert[1], agent[1]])
     inputs, _ = explicit_denoiser_rows(disc, states, actions, np.random.default_rng(5))
@@ -540,14 +538,15 @@ def test_conditioned_drail_walks_each_draw_row_once(monkeypatch):
     assert walked == [7 * 3, 7 * 3]
 
 
-# denoiser rows per call: one pair, a reach map's 2,100 rows (two blocks of
-# 1,050), 8192 and 28672 rows (4 and 14 whole blocks) and a 101x121 map
-# call of 4 draws (24 blocks of 2,036-2,037). A block holds at most
-# discriminators._SCORE_BLOCK draws, each walked once for every head; the
+# denoiser rows per call: one pair, a reach map's 2,100 rows (blocks of
+# 1,024 and 1,076), 8,192 and 28,672 rows (4 and 14 whole blocks of 2,048)
+# and a 101x121 map call of 4 draws (24 blocks of 1,984 to 2,100), as
+# nn_core._blocks cuts them, each draw walked once for every head; the
 # one-piece reference walks all rows in one call. BLAS rounds a row alike
-# in any call of about 1,000 rows or more, but not in small calls: on the
-# sine maps' 1-D state and action, blocks of 512 rows change bytes.
-@pytest.mark.parametrize("rows", [1, 2100, nn_core._FORWARD_BLOCK, 7 * nn_core._FORWARD_BLOCK // 2, 101 * 121 * 4])
+# in any call of about 1,000 rows or more that keeps its place in its
+# 64-row group, but not in small calls: on the sine maps' 1-D state and
+# action, blocks of 512 rows change bytes.
+@pytest.mark.parametrize("rows", [1, 2100, 8192, 28672, 101 * 121 * 4])
 @pytest.mark.parametrize("sample_count", [1, 4])
 @pytest.mark.parametrize("kind", ["drail", "drail_unlabeled", "diffail"])
 def test_block_scoring_equals_one_piece_losses_bitwise(kind, sample_count, rows):

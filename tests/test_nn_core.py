@@ -1,3 +1,8 @@
+import os
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,10 +42,16 @@ def test_layer_spec_validation():
         LayerSpec(2, 3, "sigmoid")
 
 
+def test_param_store_rejects_layers_that_do_not_chain():
+    specs = (LayerSpec(2, 3), LayerSpec(4, 1))
+    with pytest.raises(ValueError, match="chain mismatch: 3 -> 4"):
+        ParamStore(np.zeros(specs[0].size + specs[1].size), specs)
+
+
 def test_param_store_rejects_nonfinite():
     specs = (LayerSpec(2, 1, "identity"),)
     with pytest.raises(ValueError, match="non-finite"):
-        ParamStore(np.array([1.0, np.nan, 0.0]), nn_core.layout_for(specs))
+        ParamStore(np.array([1.0, np.nan, 0.0]), specs)
 
 
 def test_forward_identity_map():
@@ -229,6 +240,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert trailer == b""
 
 
+def test_checkpoint_layer_names_are_read_but_not_kept(tmp_path):
+    # a reader takes any UTF-8 layer names; a writer names layer k "layer{k}"
+    specs = (LayerSpec(3, 5, "relu"), LayerSpec(5, 2, "identity"))
+    store = init_params(specs, seed=4)
+    blob = [nn_core.CHECKPOINT_MAGIC, struct.pack("<II", 1, 2)]
+    for name, (spec, code) in zip(("trunk", "\u03bc-head"), ((specs[0], 1), (specs[1], 2))):
+        encoded = name.encode("utf-8")
+        blob += [struct.pack("<I", len(encoded)), encoded, struct.pack("<IIB", spec.in_dim, spec.out_dim, code)]
+    path = tmp_path / "named.drlp"
+    path.write_bytes(b"".join(blob) + store.values.astype("<f8").tobytes())
+    loaded, loaded_specs, trailer = nn_core.load_params(str(path))
+    assert loaded_specs == specs and trailer == b""
+    assert loaded.values.tobytes() == store.values.tobytes()
+    assert nn_core.params_to_bytes(loaded, loaded_specs) == nn_core.params_to_bytes(store, specs)
+
+
 def test_checkpoint_trailer_passthrough(tmp_path):
     specs = (LayerSpec(2, 1, "identity"),)
     store = init_params(specs, seed=1)
@@ -259,11 +286,38 @@ def test_forward_batch_walks_large_batches_in_blocks_with_the_same_bytes():
     specs = (LayerSpec(3, 16, "relu"), LayerSpec(16, 16, "tanh"), LayerSpec(16, 2, "identity"))
     params = init_params(specs, seed=2)
     x = np.random.default_rng(0).normal(size=(2 * nn_core._FORWARD_BLOCK + 5, 3))
-    one_walk = nn_core._forward(nn_core._layers(params.values, params.layout, specs), x)
+    one_walk = nn_core._forward(nn_core._layers(params.values, specs), x)
     assert forward_batch(params, specs, x).tobytes() == one_walk.tobytes()
     hs = []
     assert forward_batch(params, specs, x, hs).tobytes() == one_walk.tobytes()
     assert len(hs) == 4 and hs[0].shape == x.shape  # collected in one walk
+
+
+# a sine-gail-shaped net (the gail 101x121 map walks 12,221 rows a call):
+# blocks whose inner bounds fall on a multiple of 64 rows keep every row
+# of a one-wide output bit for bit, where an even split of these rows
+# changed some by 1 ulp, each the last row of its block. Run under one
+# BLAS thread, the lab's byte contract: a one-piece walk split over BLAS
+# threads rounds the rows next to its own split point differently.
+_ALIGNED_BLOCKS_PROBE = """
+import numpy as np
+from drail_lab import nn_core
+specs = nn_core.mlp_specs((2, 64, 64, 64, 1), "tanh")
+params = nn_core.init_params(specs, 0)
+for n in (12221, 4101):
+    x = np.random.default_rng(0).normal(size=(n, 2))
+    one_walk = nn_core._forward(nn_core._layers(params.values, specs), x)
+    print(int(np.sum(nn_core.forward_batch(params, specs, x) != one_walk)))
+"""
+
+
+def test_forward_batch_blocks_keep_each_row_in_its_64_row_group():
+    for n in (12221, 4101):
+        assert all(lo % 64 == 0 for lo, _ in nn_core._blocks(n))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nn_core.__file__)), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _ALIGNED_BLOCKS_PROBE], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_backward_activations_checks_upstream():
@@ -284,7 +338,7 @@ def test_consuming_backward_matches_the_one_that_keeps_activations_bitwise(hidde
     # gradient through the input's relu keep every bit
     specs = (LayerSpec(3, 8, hidden_act), LayerSpec(8, 8, hidden_act), LayerSpec(8, 2, "identity"))
     params = init_params(specs, seed=6)
-    layers = nn_core._layers(params.values, params.layout, specs)
+    layers = nn_core._layers(params.values, specs)
     rng = np.random.default_rng(2)
     x, upstream = np.maximum(rng.normal(size=(17, 3)), 0.0), rng.normal(size=(17, 2))
     results = []

@@ -273,7 +273,7 @@ def test_label_rewards_clamps_and_counts():
     disc = build_gail(1, 1, hidden=(4,), seed=0)
     vals = np.zeros(len(disc.params))
     vals[-1] = 30.0  # constant logit 30 via the output bias
-    disc = type(disc)(disc.params.with_values(vals), disc.specs, disc.optimizer, 1, 1)
+    disc = type(disc)(disc.params.with_values(vals), disc.optimizer, 1, 1)
     buf = _random_buffer(50, 1, 1)
     buf, stats = label_rewards(buf, disc, np.random.default_rng(0))
     assert np.all(buf.rewards == 20.0)
