@@ -23,10 +23,6 @@ from .nn_core import ParamStore
 # frequency span of the sinusoidal time features
 _MAX_FREQ = 1000.0
 
-# rows of folded time terms added to the first layer's pre-activation at
-# a time (128 KB of gathered terms at width 64)
-_TIME_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -240,16 +236,15 @@ def _head_predictions(model: Denoiser, noised: np.ndarray, terms: np.ndarray, te
     The first layer's pre-activation noised @ W_x.T + terms[term_rows] is
     computed once per row (``terms`` holds the folded time and bias terms
     of each distinct timestep, ``term_rows`` each row's index into it, see
-    _time_terms), the terms added _TIME_CHUNK rows at a time so that no
-    rows x width gather is made; each row walks the layers above once.
+    _time_terms); the gathered terms are one activation's size and are
+    freed before the layers above run; each row walks the layers above once.
     Given a list ``hs``, that walk's activations [h_1, ..., out] are
     collected there for _trunk_gradient."""
     layers = nn_core._layers(model.params.values, model.specs)
     weights, _, activation, _ = layers[0]
     d = model.data_dim
     z = noised @ weights[:, :d].T
-    for lo in range(0, z.shape[0], _TIME_CHUNK):
-        z[lo : lo + _TIME_CHUNK] += terms[term_rows[lo : lo + _TIME_CHUNK]]
+    z += terms[term_rows]
     out = nn_core._forward(layers[1:], nn_core._activate(z, activation), hs)
     return out.reshape(noised.shape[0], -1, d).transpose(1, 0, 2)
 

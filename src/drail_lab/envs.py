@@ -50,15 +50,6 @@ _WALL_TOP = 0.4
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One (state, action) pair plus its trajectory-end flag."""
-
-    state: np.ndarray
-    action: np.ndarray
-    done: bool
-
-
-@dataclass(frozen=True)
 class ExpertDataset:
     """Struct-of-arrays demonstration store.
 
@@ -104,9 +95,6 @@ class ExpertDataset:
     def num_trajectories(self) -> int:
         return int(np.sum(self.dones))
 
-    def transition(self, i: int) -> Transition:
-        return Transition(self.states[i], self.actions[i], bool(self.dones[i]))
-
 
 def truncate_trajectories(dataset: ExpertDataset, max_trajectories: int) -> ExpertDataset:
     """Keep the first ``max_trajectories`` whole trajectories."""
@@ -116,22 +104,6 @@ def truncate_trajectories(dataset: ExpertDataset, max_trajectories: int) -> Expe
     if max_trajectories >= ends.size:
         return dataset
     stop = int(ends[max_trajectories - 1]) + 1
-    return ExpertDataset(dataset.states[:stop], dataset.actions[:stop], dataset.dones[:stop])
-
-
-def truncate_transitions(dataset: ExpertDataset, max_transitions: int) -> ExpertDataset:
-    """Largest whole-trajectory prefix holding at most ``max_transitions``."""
-    if max_transitions < 1:
-        raise ValueError("max_transitions must be >= 1")
-    ends = np.flatnonzero(dataset.dones)
-    fitting = ends[ends < max_transitions]
-    if fitting.size == 0:
-        raise ValueError(
-            f"first trajectory has {int(ends[0]) + 1} transitions, over the limit {max_transitions}"
-        )
-    stop = int(fitting[-1]) + 1
-    if stop == len(dataset):
-        return dataset
     return ExpertDataset(dataset.states[:stop], dataset.actions[:stop], dataset.dones[:stop])
 
 

@@ -356,17 +356,8 @@ def _adam_apply(
     values -= a
 
 
-def adam_step(
-    state: AdamState,
-    params: ParamStore,
-    grads: np.ndarray,
-    lr_scale: float = 1.0,
-) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update; returns fresh (params, state) copies.
-
-    ``lr_scale`` multiplies the stored learning rate for this step only
-    (used for the policy's linear decay schedule).
-    """
+def adam_step(state: AdamState, params: ParamStore, grads: np.ndarray) -> tuple[ParamStore, AdamState]:
+    """One bias-corrected Adam update; returns fresh (params, state) copies."""
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != (len(params),):
         raise ValueError(f"gradient length {g.shape} != parameter length {len(params)}")
@@ -375,7 +366,7 @@ def adam_step(
         raise ValueError(f"non-finite gradient at index {bad[0]}")
     new_values, m, v = params.values.copy(), state.m.copy(), state.v.copy()
     step = state.step + 1
-    _adam_apply(state, step, new_values, m, v, g, lr_scale)
+    _adam_apply(state, step, new_values, m, v, g, 1.0)
     # the store takes the fresh array without a copy
     return replace(params, values=new_values), replace(state, m=m, v=v, step=step)
 

@@ -1,7 +1,9 @@
 """No setting without a caller: every parameter with a default, on a
 function or an explicit ``__init__`` in src/drail_lab, must be passed by
 some call in src/, bench/ or tests/. A default that no call overrides is a
-constant with a knob on it.
+constant with a knob on it. Nor may tests be its only callers: a knob that
+no command or benchmark turns is a constant too, save the arguments of a
+test oracle, each named with its reason.
 
 Calls are matched by name (a class's ``__init__`` by the class name), so
 two functions of one name share their callers. A parameter counts as
@@ -82,10 +84,11 @@ def _declared():
                 yield f"{module}:{fn.lineno} {callee}({name}=)", callee, name, pos
 
 
-def _calls():
-    """callee name -> list of (keyword names, positional count, spreads)."""
+def _calls(*dirs):
+    """callee name -> list of (keyword names, positional count, spreads)
+    of the calls in ``dirs``."""
     calls: dict[str, list] = {}
-    for _, tree in _sources(os.path.join("src", "drail_lab"), "bench", "tests"):
+    for _, tree in _sources(*dirs):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -113,9 +116,24 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     declared = list(_declared())
     # a scan that finds nothing would pass vacuously
     assert any(callee == "PointReach" and name == "noise_scale" for _, callee, name, _ in declared)
-    calls = _calls()
+    calls = _calls(os.path.join("src", "drail_lab"), "bench", "tests")
     unused = [where for where, callee, name, pos in declared if not _passed(calls.get(callee, []), name, pos)]
     assert not unused, "defaulted parameters no call passes:\n" + "\n".join(unused)
+
+
+# the vector env's steps are checked against the one-env oracle
+# point_step, which takes the horizon and the wall as arguments
+_TEST_ONLY_PARAMETERS = {("point_step", "horizon"), ("point_step", "wall")}
+
+
+def test_no_defaulted_parameter_is_passed_only_by_tests():
+    calls = _calls(os.path.join("src", "drail_lab"), "bench")
+    test_only = [(where, (callee, name)) for where, callee, name, pos in _declared()
+                 if not _passed(calls.get(callee, []), name, pos)]
+    unexpected = [where for where, key in test_only if key not in _TEST_ONLY_PARAMETERS]
+    assert not unexpected, "defaulted parameters only tests pass:\n" + "\n".join(unexpected)
+    # an allowance that src/ or bench/ now passes, or that names nothing, goes
+    assert {key for _, key in test_only} == _TEST_ONLY_PARAMETERS
 
 
 def _config_reads() -> dict[str, set[str]]:

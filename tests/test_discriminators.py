@@ -587,8 +587,9 @@ def _traced_peak_mb(call) -> float:
 
 # an update holds its forward activations and nothing of their size more:
 # the backward writes each input gradient into the activation it no longer
-# needs, and the time terms are added a chunk at a time. At the bench's
-# sine fit shape (512 + 512 pairs, 4 draws, 64-64) that is about 5.5 MB.
+# needs, and the gathered time terms, one activation's size, are freed
+# before the layers above run. At the bench's sine fit shape (512 + 512
+# pairs, 4 draws, 64-64) that is about 5.5 MB.
 @pytest.mark.parametrize("kind", ["drail", "diffail"])
 def test_fit_update_peak_memory_is_bounded(kind):
     build = build_drail if kind == "drail" else build_diffail

@@ -25,7 +25,6 @@ from drail_lab.envs import (
     sine_expert_sample,
     sine_grid,
     truncate_trajectories,
-    truncate_transitions,
 )
 
 
@@ -60,8 +59,7 @@ def test_dataset_counters():
     assert len(ds) == 9
     assert ds.num_trajectories == 3
     assert ds.state_dim == 2 and ds.action_dim == 1
-    t = ds.transition(2)
-    assert t.done and np.array_equal(t.state, ds.states[2])
+    assert ds.dones.tolist() == [False, False, True, False, True, False, False, False, True]
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
@@ -116,16 +114,6 @@ def test_truncate_trajectories():
     assert len(cut) == 5 and cut.num_trajectories == 2
     assert truncate_trajectories(ds, 3) is ds
     assert truncate_trajectories(ds, 99) is ds
-
-
-def test_truncate_transitions_respects_boundaries():
-    ds = _toy_dataset((3, 2, 4))
-    cut = truncate_transitions(ds, 6)
-    assert len(cut) == 5  # mid-trajectory limits fall back to the last boundary
-    assert cut.dones[-1]
-    assert len(truncate_transitions(ds, 9)) == 9
-    with pytest.raises(ValueError, match="over the limit"):
-        truncate_transitions(ds, 2)
 
 
 @settings(max_examples=30, deadline=None)

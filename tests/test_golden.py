@@ -9,6 +9,8 @@ and says why. The hashes hold for one machine and numpy/BLAS build.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +131,45 @@ def test_golden_expert_dataset_bytes(wall, tmp_path):
     assert cli.main(args + ["--wall"] * wall) == 0
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == EXPERT_DATASETS[wall]
+
+
+# runs cli commands, given as a JSON list of argument lists, in a process
+# of its own, so that the BLAS thread count set in its environment holds
+_CLI_RUNS = """
+import json, sys
+from drail_lab import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(experts, tmp_path):
+    # the drail-sine case and its gail twin, each trained and its 101x121
+    # map drawn under one and under three BLAS threads (never more). The
+    # twin keeps the default 64-64 net, whose map's bytes would move with
+    # the thread count were it walked in one piece; the 32-32 nets' would not.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    case = CASES["drail-sine"][1]
+    configs = {"drail": case, "gail": dict(case, method="gail", disc_hidden=[64, 64])}
+    digests = {}
+    for threads in (1, 3):
+        root = tmp_path / f"threads-{threads}"
+        root.mkdir()
+        commands = []
+        for method in ("drail", "gail"):
+            cfg_path = root / f"{method}.json"
+            cfg_path.write_text(json.dumps(dict(configs[method], expert_path=experts["sine"])))
+            run_dir = str(root / method)
+            commands.append(["train", "--config", str(cfg_path), "-o", run_dir])
+            commands.append(["reward-map", os.path.join(run_dir, "discriminator.drlp"), "--resolution", "101x121",
+                             "--samples", "4", "-o", os.path.join(run_dir, "map.csv")])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-c", _CLI_RUNS, json.dumps(commands)], env=env, capture_output=True,
+                       check=True)
+        for method in ("drail", "gail"):
+            with open(root / method / "map.csv", "rb") as fh:
+                map_digest = hashlib.sha256(fh.read()).hexdigest()
+            digests[threads, method] = dict(run_digests(str(root / method)), map=map_digest)
+    for method in ("drail", "gail"):
+        assert len(digests[1, method]) == 5
+        assert digests[3, method] == digests[1, method], method

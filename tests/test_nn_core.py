@@ -211,12 +211,18 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_adam_lr_scale():
+    # PPO's learning-rate decay scales the in-place step it runs
     specs = (LayerSpec(2, 1, "identity"),)
     store = init_params(specs, seed=0)
     state = AdamState.fresh(len(store), lr=1e-3)
-    half, _ = adam_step(state, store, np.ones(len(store)), lr_scale=0.5)
-    full, _ = adam_step(state, store, np.ones(len(store)), lr_scale=1.0)
-    assert np.allclose(store.values - half.values, (store.values - full.values) * 0.5)
+
+    def stepped(scale):
+        values = store.values.copy()
+        nn_core._adam_apply(state, 1, values, state.m.copy(), state.v.copy(), np.ones(len(store)), scale)
+        return values
+
+    half, full = stepped(0.5), stepped(1.0)
+    assert np.allclose(store.values - half, (store.values - full) * 0.5)
 
 
 def test_adam_preserves_finiteness():
